@@ -16,11 +16,9 @@ from .core import (
     write_tensor,
 )
 from .grids import (
-    GridSpec,
     ProductPointSet,
     UnitPointSet,
     build_hemisphere_grid,
-    build_sphere_grid,
     covering_coefficient,
     hemisphere_point_count,
     product_point_set,
@@ -29,11 +27,9 @@ from .grids import (
     spherical_to_cartesian,
 )
 from .kernels import (
-    SvdResult,
     nuclear_norm,
-    project_spectral_ball,
     spectral_norm,
-    svd,
+    top_sigma,
     top_singular_pair,
 )
 from .nuclear import (

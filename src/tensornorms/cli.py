@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import sys
@@ -27,16 +26,6 @@ from .spectral import estimate_to_dict, spectral_norm_fptas
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
-
-
-def _thread_limit(threads: int | None):
-    if threads is None:
-        return contextlib.nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=threads)
-    except ImportError:
-        return contextlib.nullcontext()
 
 
 def _parse_grid(spec: str, ell: int, seed: int):
@@ -68,7 +57,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", default="hemi",
                    help="'hemi' or 'rand:N' for N uniform sphere samples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -103,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10, help="trailing dimension")
     p.add_argument("--epsilons", default="1e-1,1e-2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run quick invariant self-checks")
@@ -119,8 +106,7 @@ def _mode_name(flag: str) -> str:
 def _cmd_snorm(args) -> int:
     T = read_tensor(args.input)
     grid = _parse_grid(args.grid, T.dims[0], args.seed)
-    with _thread_limit(args.threads):
-        est = spectral_norm_fptas(T, args.eps, _mode_name(args.mode), grid)
+    est = spectral_norm_fptas(T, args.eps, _mode_name(args.mode), grid)
     _emit(estimate_to_dict(est), args.out, args.format)
     return EXIT_OK
 
@@ -128,8 +114,7 @@ def _cmd_snorm(args) -> int:
 def _cmd_nnorm(args) -> int:
     T = read_tensor(args.input)
     grid = _parse_grid(args.grid, T.dims[0], args.seed)
-    with _thread_limit(args.threads):
-        est, cert = nuclear_norm_fptas(T, args.eps, _mode_name(args.mode), grid)
+    est, cert = nuclear_norm_fptas(T, args.eps, _mode_name(args.mode), grid)
     payload = estimate_to_dict(est)
     payload.update(certificate_to_dict(cert))
     _emit(payload, args.out, args.format)
@@ -166,11 +151,10 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     ells = [int(v) for v in args.ells.split(",")]
     epsilons = [float(v) for v in args.epsilons.split(",")]
-    with _thread_limit(args.threads):
-        if args.suite == "time":
-            rows = bench.time_sweep(args.norm, ells, args.n, epsilons, args.seed)
-        else:
-            rows = bench.error_sweep(args.norm, ells, args.n, epsilons, args.seed)
+    if args.suite == "time":
+        rows = bench.time_sweep(args.norm, ells, args.n, epsilons, args.seed)
+    else:
+        rows = bench.error_sweep(args.norm, ells, args.n, epsilons, args.seed)
     with open(args.out, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()

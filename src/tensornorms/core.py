@@ -43,6 +43,8 @@ class Tensor3:
             raise ValueError(f"expected a 3-way array, got shape {a.shape}")
         if min(a.shape) < 1:
             raise ValueError(f"all dimensions must be positive, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("tensor has non-finite entries")
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
         object.__setattr__(self, "slices", a)
@@ -76,6 +78,8 @@ class TensorD:
         a = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if a.ndim < 3:
             raise ValueError(f"order must be at least 3, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("tensor has non-finite entries")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 

@@ -9,44 +9,22 @@ theta = 1 - pi^2 (ell-1) / (8 q^2).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from itertools import product as _iterproduct
 
 import numpy as np
 
 __all__ = [
-    "GridSpec",
     "UnitPointSet",
     "spherical_to_cartesian",
     "build_hemisphere_grid",
-    "build_sphere_grid",
     "covering_coefficient",
     "hemisphere_point_count",
     "resolution_for_error",
     "sample_uniform",
     "ProductPointSet",
     "product_point_set",
-    "export_csv",
 ]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Discretization parameters: dimension, resolution q, step pi/q, kind."""
-
-    dim: int
-    resolution: int | None
-    kind: str  # "hemisphere", "full-sphere" or "uniform-random"
-    seed: int | None = None
-    count: int | None = None
-
-    @property
-    def step(self) -> float | None:
-        if self.resolution is None:
-            return None
-        return math.pi / self.resolution
 
 
 @dataclass(frozen=True)
@@ -56,7 +34,7 @@ class UnitPointSet:
     dim: int
     points: np.ndarray  # (count, dim)
     theta: float | None
-    spec: GridSpec | None = None
+    q: int | None = None  # resolution of a hemisphere grid
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -96,14 +74,12 @@ def _angles_to_points(phis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _enumerate_angle_indices(levels: list[int], closed: bool = False) -> list[tuple[int, ...]]:
+def _enumerate_angle_indices(levels: list[int]) -> list[tuple[int, ...]]:
     """Angle-index tuples with trailing entries pinned to 0 after a zero index.
 
-    Once some angle is 0 (or, with ``closed``, pi) the remaining Cartesian
-    coordinates vanish, so any later angle choice would duplicate a point;
-    the enumeration simply stops descending there.  ``closed`` additionally
-    includes the angle pi for every coordinate but the last, which full-sphere
-    grids need so that directions near the negative first axis stay covered.
+    Once some angle is 0 the remaining Cartesian coordinates vanish, so any
+    later angle choice would duplicate a point; the enumeration simply stops
+    descending there.
     """
     tuples: list[tuple[int, ...]] = []
 
@@ -115,8 +91,6 @@ def _enumerate_angle_indices(levels: list[int], closed: bool = False) -> list[tu
         tuples.append(prefix + tail)
         for idx in range(1, levels[depth]):
             descend(prefix + (idx,), depth + 1)
-        if closed and depth < len(levels) - 1:
-            tuples.append(prefix + (levels[depth],) + tail[1:])
 
     descend((), 0)
     return tuples
@@ -144,20 +118,7 @@ def build_hemisphere_grid(ell: int, q: int) -> UnitPointSet:
     tuples = _enumerate_angle_indices([q] * (ell - 1))
     phis = np.array(tuples, dtype=float) * delta
     points = _angles_to_points(phis)
-    spec = GridSpec(dim=ell, resolution=q, kind="hemisphere")
-    return UnitPointSet(ell, points, covering_coefficient(q, ell), spec)
-
-
-def build_sphere_grid(ell: int, q: int) -> UnitPointSet:
-    """Full-sphere grid: last angle ranges over {0, ..., (2q-1)d}, d = pi/q."""
-    if ell < 2 or q < 2:
-        raise ValueError("need ell >= 2 and q >= 2")
-    delta = math.pi / q
-    tuples = _enumerate_angle_indices([q] * (ell - 2) + [2 * q], closed=True)
-    phis = np.array(tuples, dtype=float) * delta
-    points = _angles_to_points(phis)
-    spec = GridSpec(dim=ell, resolution=q, kind="full-sphere")
-    return UnitPointSet(ell, points, covering_coefficient(q, ell), spec)
+    return UnitPointSet(ell, points, covering_coefficient(q, ell), q)
 
 
 def resolution_for_error(ell: int, epsilon: float, scale: float = 1.0) -> int:
@@ -181,16 +142,14 @@ def sample_uniform(ell: int, count: int, seed: int) -> UnitPointSet:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, ell))
     points = g / np.linalg.norm(g, axis=1, keepdims=True)
-    spec = GridSpec(dim=ell, resolution=None, kind="uniform-random",
-                    seed=seed, count=count)
-    return UnitPointSet(ell, points, None, spec)
+    return UnitPointSet(ell, points, None)
 
 
 class ProductPointSet:
     """Lazy Cartesian product of unit point sets.
 
-    Iterating yields tuples of vectors; ``theta`` is the product of member
-    covering coefficients when all are present, else None.
+    ``theta`` is the product of member covering coefficients when all are
+    present, else None.
     """
 
     def __init__(self, sets: list[UnitPointSet]):
@@ -200,9 +159,6 @@ class ProductPointSet:
 
     def __len__(self) -> int:
         return int(np.prod([len(s) for s in self.sets]))
-
-    def __iter__(self):
-        return _iterproduct(*(s.points for s in self.sets))
 
     @property
     def theta(self) -> float | None:
@@ -216,7 +172,9 @@ class ProductPointSet:
 
         The kron of unit vectors is again a unit vector, and contracting a
         tensor by the tuple equals contracting its first-modes flattening by
-        the kron vector.
+        the kron vector.  Rows follow the Cartesian product order, the last
+        set varying fastest, so ``np.unravel_index`` over the set sizes
+        recovers the per-set indices of a row.
         """
         mats = [s.points for s in self.sets]
         acc = mats[0]
@@ -230,10 +188,3 @@ class ProductPointSet:
 def product_point_set(sets: list[UnitPointSet]) -> ProductPointSet:
     return ProductPointSet(sets)
 
-
-def export_csv(point_set: UnitPointSet, path: str) -> None:
-    """One unit vector per row."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in point_set.points:
-            writer.writerow([repr(float(v)) for v in row])

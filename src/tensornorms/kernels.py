@@ -2,30 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SvdResult",
-    "svd",
     "spectral_norm",
     "nuclear_norm",
     "top_singular_pair",
-    "project_spectral_ball",
+    "top_sigma",
 ]
 
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Reduced SVD A = U diag(s) V' with orthonormal columns in U, V."""
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
+# doubles of contracted matrices that top_sigma holds at once (8 MiB)
+_CHUNK_DOUBLES = 1 << 20
 
 
 def _check_finite(A: np.ndarray) -> np.ndarray:
@@ -35,13 +22,6 @@ def _check_finite(A: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     return A
-
-
-def svd(A: np.ndarray) -> SvdResult:
-    """Reduced SVD with nonincreasing singular values."""
-    A = _check_finite(A)
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    return SvdResult(s, u, vt.T)
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -58,14 +38,21 @@ def nuclear_norm(A: np.ndarray) -> float:
 
 def top_singular_pair(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(sigma_1, u, v) with u'Av = sigma_1."""
-    res = svd(A)
-    return float(res.singular_values[0]), res.left_vectors[:, 0], res.right_vectors[:, 0]
+    u, s, vt = np.linalg.svd(_check_finite(A), full_matrices=False)
+    return float(s[0]), u[:, 0], vt[0]
 
 
-def project_spectral_ball(A: np.ndarray) -> np.ndarray:
-    """Frobenius projection onto {B : ||B||_sigma <= 1}: clip singular values at 1."""
-    A = _check_finite(A)
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] <= 1.0:
-        return A
-    return (u * np.minimum(s, 1.0)) @ vt
+def top_sigma(slices: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """sigma_max(sum_i x_i T_i) for every row x of ``points``.
+
+    ``slices`` is the (ell, m, n) stack of T_i and ``points`` is (count, ell).
+    The contracted matrices are formed a chunk of about _CHUNK_DOUBLES
+    entries at a time, so memory stays flat however many points there are.
+    """
+    m, n = slices.shape[1:]
+    chunk = max(1, _CHUNK_DOUBLES // (m * n))
+    sigmas = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], chunk):
+        mats = np.tensordot(points[start:start + chunk], slices, axes=(1, 0))
+        sigmas[start:start + chunk] = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    return sigmas

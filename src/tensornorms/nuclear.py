@@ -24,8 +24,8 @@ from .grids import (
     build_hemisphere_grid,
     resolution_for_error,
 )
-from .kernels import nuclear_norm
-from .spectral import NormEstimate, _sorted_last_two_perm, _product_grid_for
+from .kernels import nuclear_norm, top_sigma
+from .spectral import NormEstimate, _order3_reduction, _product_grid_for
 
 __all__ = [
     "SolverConfig",
@@ -44,27 +44,22 @@ __all__ = [
 class SolverError(RuntimeError):
     """Raised when the constrained program is unbounded or fails to converge."""
 
-    def __init__(self, message: str, info: dict | None = None):
-        super().__init__(message)
-        self.info = info or {}
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     gap_tol: float = 1e-5  # relative duality gap at which to stop
-    primal_tol: float = 1e-9
-    dual_tol: float = 1e-9
     stationarity_tol: float = 1e-6
     max_iters: int = 200000  # total splitting iterations across all rounds
-    max_outer: int = 200  # rounds of constraint generation
-    burst_iters: int = 1500  # splitting iterations between constraint scans
-    batch_points: int = 40  # violated constraints added per round
-    rho: float | None = None  # initial penalty; None picks a scale heuristic
-    over_relaxation: float = 1.7
-    adapt_factor: float = 2.0
-    adapt_ratio: float = 10.0
-    check_every: int = 20
-    raise_on_nonconvergence: bool = False
+
+
+_PRIMAL_TOL = 1e-9  # floor of the splitting residual tolerance
+_MAX_OUTER = 200  # rounds of constraint generation
+_BURST_ITERS = 1500  # splitting iterations between constraint scans
+_BATCH_POINTS = 40  # violated constraints added per round
+_OVER_RELAXATION = 1.7
+_ADAPT_FACTOR = 2.0  # penalty step of residual balancing
+_ADAPT_RATIO = 10.0  # residual imbalance that triggers a penalty step
+_CHECK_EVERY = 20  # iterations between residual checks
 
 
 @dataclass(frozen=True)
@@ -73,11 +68,9 @@ class NuclearCertificate:
 
     primal_value: float
     dual_value: float
-    scaled_value: float
     theta: float | None
     dual_decomposition: RankOneDecomposition
     gap: float
-    feas_residual: float
     stationarity_residual: float
     solver_iterations: int
     converged: bool
@@ -109,7 +102,7 @@ def _batched_project_spectral_ball(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _admm_fixed_set(Tn, X, W, U, rho, cfg, n_iters, tol):
+def _admm_fixed_set(Tn, X, W, U, rho, n_iters, tol):
     """Operator splitting burst on a fixed constraint set; warm-startable.
 
     Splits the program into the coupled least-squares update for Z (closed
@@ -120,7 +113,7 @@ def _admm_fixed_set(Tn, X, W, U, rho, cfg, n_iters, tol):
     """
     ell, mn = Tn.shape[0], Tn.shape[1] * Tn.shape[2]
     gram_cho = scipy.linalg.cho_factor(X.T @ X)
-    alpha = cfg.over_relaxation
+    alpha = _OVER_RELAXATION
     r_norm = s_norm = np.inf
     # every iterate's Lambda satisfies X' Lambda = Tn exactly, so ergodic
     # averages are valid dual certificates too and settle much faster
@@ -138,7 +131,7 @@ def _admm_fixed_set(Tn, X, W, U, rho, cfg, n_iters, tol):
         W = _batched_project_spectral_ball(AZ_hat + U)
         U = U + AZ_hat - W
 
-        if it % cfg.check_every == 0:
+        if it % _CHECK_EVERY == 0:
             r_norm = float(np.linalg.norm(AZ - W))
             s_norm = rho * float(
                 np.linalg.norm(np.einsum("pi,pjk->ijk", X, W - W_prev))
@@ -147,12 +140,12 @@ def _admm_fixed_set(Tn, X, W, U, rho, cfg, n_iters, tol):
             if r_norm <= tol * zscale and s_norm <= tol * zscale:
                 break
             # residual balancing keeps the two error terms comparable
-            if r_norm > cfg.adapt_ratio * s_norm:
-                rho *= cfg.adapt_factor
-                U /= cfg.adapt_factor
-            elif s_norm > cfg.adapt_ratio * r_norm:
-                rho /= cfg.adapt_factor
-                U *= cfg.adapt_factor
+            if r_norm > _ADAPT_RATIO * s_norm:
+                rho *= _ADAPT_FACTOR
+                U /= _ADAPT_FACTOR
+            elif s_norm > _ADAPT_RATIO * r_norm:
+                rho /= _ADAPT_FACTOR
+                U *= _ADAPT_FACTOR
     # closing Z step: Gram Z = Tn/rho + X'(W - U) makes X' Lambda = Tn exact
     rhs = Tn / rho + np.einsum("pi,pjk->ijk", X, W - U)
     Z = scipy.linalg.cho_solve(gram_cho, rhs.reshape(ell, mn)).reshape(Tn.shape)
@@ -221,14 +214,14 @@ def solve_relaxation(
                 {"iterations": 0, "outer_rounds": 0, "working_set_size": 0,
                  "converged": True, "primal_residual": 0.0,
                  "dual_residual": 0.0, "stationarity_residual": 0.0,
-                 "feas_residual": 0.0, "pre_rescale_violation": 0.0,
+                 "pre_rescale_violation": 0.0,
                  "dual_value": 0.0, "gap": 0.0, "rho": 0.0})
     Tn = T.slices / tnorm
 
     active = _spanning_seed(X)
     seed = set(active)
     in_set = set(active)
-    rho = cfg.rho if cfg.rho is not None else 1.0
+    rho = 1.0
     W = np.zeros((len(active), m, n))
     U = np.zeros_like(W)
     total_iters = 0
@@ -238,18 +231,10 @@ def solve_relaxation(
     p_hat = dual_val = 0.0
     stat = np.inf
     converged = False
-    chunk = 20000
     rounds = 0
     # the nuclear norm of the stationarity defect is bounded through its
     # flattening, giving a rigorous correction to the dual upper bound
     defect_factor = float(np.sqrt(min(ell * m, n)))
-    def scan(Z):
-        # every constraint re-verified by direct SVD of the contracted slices
-        sig_chunks = []
-        for start in range(0, N, chunk):
-            AZ = np.einsum("pi,ijk->pjk", X[start:start + chunk], Z)
-            sig_chunks.append(np.linalg.svd(AZ, compute_uv=False)[:, 0])
-        return np.concatenate(sig_chunks) - 1.0
 
     def dual_bound(lam_ws, Xa):
         # any Lambda with T = sum_x x (outer) Lambda_x upper-bounds the
@@ -263,20 +248,21 @@ def solve_relaxation(
 
     Z = lam_ws = None
     discovering = True
-    for rounds in range(1, cfg.max_outer + 1):
-        burst = min(300 if discovering else cfg.burst_iters,
+    for rounds in range(1, _MAX_OUTER + 1):
+        burst = min(300 if discovering else _BURST_ITERS,
                     cfg.max_iters - total_iters)
         if burst <= 0:
             break
-        tol = max(cfg.primal_tol, 0.02 * gap) if np.isfinite(gap) else 1e-4
+        tol = max(_PRIMAL_TOL, 0.02 * gap) if np.isfinite(gap) else 1e-4
         Z_last, W, U, lam_last, lam_avg, Z_avg, rho, it, r_norm, s_norm = \
-            _admm_fixed_set(Tn, X[active], W, U, rho, cfg, burst, tol)
+            _admm_fixed_set(Tn, X[active], W, U, rho, burst, tol)
         total_iters += it
         Xa = X[active]
         # both the last iterate and the ergodic average yield valid bounds;
-        # keep whichever side of the sandwich each does better on
-        viol_last = scan(Z_last)
-        viol_avg = scan(Z_avg)
+        # keep whichever side of the sandwich each does better on; every
+        # constraint is re-verified by direct SVD of the contracted slices
+        viol_last = top_sigma(Z_last, X) - 1.0
+        viol_avg = top_sigma(Z_avg, X) - 1.0
         cands = []
         for Zc, viol_c in ((Z_last, viol_last), (Z_avg, viol_avg)):
             mv = max(float(viol_c.max()), 0.0)
@@ -296,9 +282,9 @@ def solve_relaxation(
             converged = True
             break
         order = np.argsort(viol_last)[::-1]
-        new = [int(p) for p in order[: 4 * cfg.batch_points]
-               if viol_last[p] > 1e-9 and int(p) not in in_set][: cfg.batch_points]
-        discovering = len(new) >= cfg.batch_points // 2
+        new = [int(p) for p in order[: 4 * _BATCH_POINTS]
+               if viol_last[p] > 1e-9 and int(p) not in in_set][:_BATCH_POINTS]
+        discovering = len(new) >= _BATCH_POINTS // 2
         # prune exploratory points that ended up far from the active face
         lam_norms = np.linalg.norm(lam_ws, axis=(1, 2))
         lam_scale = max(float(lam_norms.max()), 1e-300)
@@ -339,17 +325,11 @@ def solve_relaxation(
         "primal_residual": r_norm,
         "dual_residual": s_norm,
         "stationarity_residual": stat,
-        "feas_residual": 0.0,
         "pre_rescale_violation": max_viol,
         "dual_value": dual_val * tnorm,
         "gap": gap,
         "rho": rho,
     }
-    if not converged and cfg.raise_on_nonconvergence:
-        raise SolverError(
-            f"relative gap {gap:.2e} above {cfg.gap_tol:.2e} after "
-            f"{rounds} rounds / {total_iters} iterations", info
-        )
     return Tensor3(Z), value, lam, info
 
 
@@ -396,14 +376,15 @@ def _estimate_from_solution(
     epsilon: float, n_points: int, q: int | None, lower_fallback: float,
     seconds: float,
 ) -> NormEstimate:
-    if theta is not None:
+    if theta is not None and theta > 0:
         # value = <T, Z> at a feasible Z sits below the program optimum and
         # the dual value above it, so theta * value <= ||T||_* <= dual value
         # regardless of how far the splitting iterations were run
         lower, upper, certified = theta * value, dual_value, True
     else:
-        # random point sets carry no covering certificate for the lower
-        # bound, but the dual value still upper-bounds the nuclear norm
+        # random point sets and grids too coarse for a positive theta carry
+        # no covering certificate for the lower bound, but the dual value
+        # still upper-bounds the nuclear norm
         lower, upper, certified = lower_fallback, dual_value, False
     return NormEstimate(
         value=value, lower=lower, upper=upper, mode=mode, epsilon=epsilon,
@@ -440,20 +421,16 @@ def nuclear_norm_fptas(
             certified=True, grid_points_used=0, seconds=time.perf_counter() - t0,
         )
         cert = NuclearCertificate(
-            primal_value=value, dual_value=value, scaled_value=value,
-            theta=1.0, dual_decomposition=RankOneDecomposition(terms),
-            gap=0.0, feas_residual=0.0, stationarity_residual=0.0,
-            solver_iterations=0, converged=True,
+            primal_value=value, dual_value=value, theta=1.0,
+            dual_decomposition=RankOneDecomposition(terms), gap=0.0,
+            stationarity_residual=0.0, solver_iterations=0, converged=True,
         )
         return est, cert
 
     scale = nuclear_upper_bound_slices(T) if mode == "absolute" else 1.0
-    q = None
     if point_set is None:
         q = resolution_for_error(ell, epsilon, scale)
         point_set = build_hemisphere_grid(ell, q)
-    elif point_set.spec is not None:
-        q = point_set.spec.resolution
     if cfg is None:
         # the covering relaxation already loosens the certificate by roughly
         # epsilon, so the solver gap only has to be small relative to that
@@ -463,8 +440,8 @@ def nuclear_norm_fptas(
     Z, primal, lam, info = solve_relaxation(T, point_set, cfg)
     theta = point_set.theta
     est = _estimate_from_solution(
-        primal, info["dual_value"], theta, mode, epsilon, len(point_set), q,
-        lower_fallback=nuclear_lower_bound_flatten(T),
+        primal, info["dual_value"], theta, mode, epsilon, len(point_set),
+        point_set.q, lower_fallback=nuclear_lower_bound_flatten(T),
         seconds=time.perf_counter() - t0,
     )
     dec = extract_nuclear_decomposition(
@@ -475,11 +452,9 @@ def nuclear_norm_fptas(
     cert = NuclearCertificate(
         primal_value=primal,
         dual_value=info["dual_value"],
-        scaled_value=(theta * primal) if theta is not None else primal,
         theta=theta,
         dual_decomposition=dec,
         gap=info["gap"],
-        feas_residual=info["feas_residual"],
         stationarity_residual=info["stationarity_residual"],
         solver_iterations=info["iterations"],
         converged=info["converged"],
@@ -496,19 +471,13 @@ def nuclear_norm_fptas_d(
 ) -> tuple[NormEstimate, NuclearCertificate]:
     """Higher-order variant with constraints indexed by product grid tuples.
 
-    Contraction by a tuple of leading-mode vectors equals contraction of the
-    leading-modes flattening by their Kronecker product, so the relaxation is
-    solved on the reshaped order-3 tensor with flattened product points.
+    The relaxation is solved on the flattening from ``_order3_reduction``
+    with flattened product points, so each decomposition term carries the
+    Kronecker product of its leading-mode factors as its first vector.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    dims = T.dims
-    perm = _sorted_last_two_perm(dims)
-    vals = np.transpose(T.values, perm)
-    small_dims = vals.shape[:-2]
-    m, n = vals.shape[-2:]
-    T3 = Tensor3(vals.reshape(int(np.prod(small_dims)), m, n))
-
+    T3, _, small_dims = _order3_reduction(T)
     if point_set is None:
         scale = nuclear_upper_bound_slices(T3) if mode == "absolute" else 1.0
         point_set = _product_grid_for(small_dims, epsilon, scale)
@@ -519,10 +488,8 @@ def certificate_to_dict(cert: NuclearCertificate) -> dict:
     return {
         "primal_value": cert.primal_value,
         "dual_value": cert.dual_value,
-        "scaled_value": cert.scaled_value,
         "theta": cert.theta,
         "gap": cert.gap,
-        "feas_residual": cert.feas_residual,
         "stationarity_residual": cert.stationarity_residual,
         "solver_iterations": cert.solver_iterations,
         "converged": cert.converged,

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import Tensor3
+from .grids import _angles_to_points
 from .spectral import lower_bound_alpha1, upper_bound_alpha2
 
 __all__ = [
@@ -96,16 +97,6 @@ def constructive_solution(T: Tensor3, y: np.ndarray, z: np.ndarray) -> QuadSyste
     return QuadSystemInstance(T, float(u @ u), 1.0, y, z, u)
 
 
-def _angles_to_unit(phi: np.ndarray) -> np.ndarray:
-    x = np.empty(phi.size + 1)
-    sin_prod = 1.0
-    for j, a in enumerate(phi):
-        x[j] = sin_prod * math.cos(a)
-        sin_prod *= math.sin(a)
-    x[-1] = sin_prod
-    return x
-
-
 def _slice_quadratic(T: Tensor3, y: np.ndarray, z: np.ndarray) -> float:
     u = T.slices @ z @ y
     return float(u @ u)
@@ -117,8 +108,8 @@ def _range_distance(T: Tensor3, alpha: float, grid_steps: int = 24,
     ell, m, n = T.dims
 
     def objective(angles: np.ndarray) -> float:
-        y = _angles_to_unit(angles[: m - 1])
-        z = _angles_to_unit(angles[m - 1:])
+        y = _angles_to_points(angles[None, : m - 1])[0]
+        z = _angles_to_points(angles[None, m - 1:])[0]
         return abs(_slice_quadratic(T, y, z) - alpha)
 
     n_angles = (m - 1) + (n - 1)

@@ -20,7 +20,7 @@ from .grids import (
     build_hemisphere_grid,
     resolution_for_error,
 )
-from .kernels import spectral_norm, top_singular_pair
+from .kernels import spectral_norm, top_sigma, top_singular_pair
 
 __all__ = [
     "NormEstimate",
@@ -33,8 +33,6 @@ __all__ = [
     "estimate_to_dict",
     "estimate_from_dict",
 ]
-
-_SVD_CHUNK = 20000
 
 
 @dataclass(frozen=True)
@@ -80,25 +78,8 @@ def lower_bound_alpha1(T: Tensor3) -> tuple[float, tuple[np.ndarray, ...]]:
 def upper_bound_alpha2(T: Tensor3) -> float:
     """min of the flattening spectral norm and the slice-partition bound."""
     flat = spectral_norm(flatten(T))
-    slice_norms = np.linalg.svd(T.slices, compute_uv=False)[:, 0]
+    slice_norms = top_sigma(T.slices, np.eye(T.dims[0]))
     return float(min(flat, np.sqrt(np.sum(slice_norms**2))))
-
-
-def _grid_max(slices: np.ndarray, points: np.ndarray) -> tuple[int, float]:
-    """(argmax index, max) of sigma_max(sum_i x_i T_i) over point rows.
-
-    Ties break to the first point in enumeration order, independently of
-    chunking.
-    """
-    best_idx, best_val = 0, -np.inf
-    for start in range(0, points.shape[0], _SVD_CHUNK):
-        chunk = points[start:start + _SVD_CHUNK]
-        mats = np.tensordot(chunk, slices, axes=(1, 0))
-        vals = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        idx = int(np.argmax(vals))
-        if vals[idx] > best_val:
-            best_idx, best_val = start + idx, float(vals[idx])
-    return best_idx, best_val
 
 
 def spectral_norm_fptas(
@@ -111,7 +92,9 @@ def spectral_norm_fptas(
 
     The returned value is the grid maximum, a lower bound; for deterministic
     grids value/theta is a certified upper bound with gap at most epsilon
-    (absolute or relative per ``mode``).
+    (absolute or relative per ``mode``).  Grids without a positive theta
+    (random samples, or a resolution too coarse for the first dimension)
+    certify nothing, and the upper bound falls back to ``upper_bound_alpha2``.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -128,24 +111,23 @@ def spectral_norm_fptas(
             witness=(np.ones(1), y, z), seconds=time.perf_counter() - t0,
         )
 
-    q = None
     if point_set is None:
         scale = upper_bound_alpha2(T) if mode == "absolute" else 1.0
         q = resolution_for_error(ell, epsilon, scale)
         point_set = build_hemisphere_grid(ell, q)
-    elif point_set.spec is not None:
-        q = point_set.spec.resolution
     if len(point_set) == 0:
         raise ValueError("point set is empty")
     if point_set.dim != ell:
         raise ValueError(f"point set dim {point_set.dim} != first tensor dim {ell}")
 
-    idx, value = _grid_max(T.slices, point_set.points)
+    sigmas = top_sigma(T.slices, point_set.points)
+    idx = int(np.argmax(sigmas))  # ties go to the first point
+    value = float(sigmas[idx])
     xstar = point_set.points[idx]
     _, y, z = top_singular_pair(contract_first(T, xstar))
 
     theta = point_set.theta
-    if theta is not None:
+    if theta is not None and theta > 0:
         upper = value / theta
         certified = True
     else:
@@ -153,16 +135,26 @@ def spectral_norm_fptas(
         certified = False
     return NormEstimate(
         value=value, lower=value, upper=upper, mode=mode, epsilon=epsilon,
-        certified=certified, grid_points_used=len(point_set), q=q, theta=theta,
-        witness=(xstar, y, z), seconds=time.perf_counter() - t0,
+        certified=certified, grid_points_used=len(point_set), q=point_set.q,
+        theta=theta, witness=(xstar, y, z), seconds=time.perf_counter() - t0,
     )
 
 
-def _sorted_last_two_perm(dims: tuple[int, ...]) -> list[int]:
-    """Mode permutation placing the two largest dimensions last (stable)."""
+def _order3_reduction(T: TensorD) -> tuple[Tensor3, list[int], tuple[int, ...]]:
+    """(T3, perm, small_dims): the order-3 tensor the order-d schemes solve on.
+
+    ``perm`` moves the two largest modes last (stably) and ``small_dims`` are
+    the remaining leading dimensions, which T3 flattens into its first mode.
+    Contracting a tensor by a tuple of leading-mode vectors equals
+    contracting that flattening by their Kronecker product, so the order-3
+    machinery applies to T3 directly.
+    """
+    dims = T.dims
     order = sorted(range(len(dims)), key=lambda i: (dims[i], i))
-    small, large = order[:-2], order[-2:]
-    return sorted(small) + sorted(large)
+    perm = sorted(order[:-2]) + sorted(order[-2:])
+    vals = np.transpose(T.values, perm)
+    small_dims = vals.shape[:-2]
+    return Tensor3(vals.reshape(-1, *vals.shape[-2:])), perm, small_dims
 
 
 def _product_grid_for(dims_small, epsilon: float, scale: float) -> ProductPointSet:
@@ -185,48 +177,27 @@ def spectral_norm_fptas_d(
 ) -> NormEstimate:
     """Higher-order variant: product hemisphere grids over all but two modes.
 
-    Contracting a tensor by a tuple of leading-mode vectors equals contracting
-    the leading-modes flattening by their Kronecker product, so the order-3
-    machinery applies to the reshaped tensor directly.
+    The order-3 scheme runs on the flattening from ``_order3_reduction``, and
+    the witness comes back with one factor per mode in the caller's order.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     t0 = time.perf_counter()
-    dims = T.dims
-    perm = _sorted_last_two_perm(dims)
-    vals = np.transpose(T.values, perm)
-    small_dims = vals.shape[:-2]
-    m, n = vals.shape[-2:]
-    T3 = Tensor3(vals.reshape(int(np.prod(small_dims)), m, n))
-
+    T3, perm, small_dims = _order3_reduction(T)
     if point_set is None:
         scale = upper_bound_alpha2(T3) if mode == "absolute" else 1.0
         point_set = _product_grid_for(small_dims, epsilon, scale)
-    flat_points = point_set.flattened()
+    flat = point_set.flattened()
 
-    est = spectral_norm_fptas(T3, epsilon, mode, flat_points)
+    est = spectral_norm_fptas(T3, epsilon, mode, flat)
 
     # unpack the Kronecker witness into per-mode factors in original order
-    witness = None
-    if est.witness is not None:
-        kron_x, y, z = est.witness
-        idx = _kron_index(point_set, kron_x)
-        factors = [s.points[i] for s, i in zip(point_set.sets, idx)]
-        by_perm = factors + [y, z]
-        witness = tuple(by_perm[perm.index(i)] for i in range(len(dims)))
+    kron_x, y, z = est.witness
+    idx = np.unravel_index(int(np.argmax(flat.points @ kron_x)),
+                           [len(s) for s in point_set.sets])
+    by_perm = [s.points[i] for s, i in zip(point_set.sets, idx)] + [y, z]
+    witness = tuple(by_perm[perm.index(i)] for i in range(T.order))
     return replace(est, witness=witness, seconds=time.perf_counter() - t0)
-
-
-def _kron_index(point_set: ProductPointSet, kron_x: np.ndarray) -> tuple[int, ...]:
-    """Recover per-factor indices of a flattened product point."""
-    sizes = [len(s) for s in point_set.sets]
-    flat = point_set.flattened().points
-    pos = int(np.argmax(flat @ kron_x))
-    idx = []
-    for size in reversed(sizes):
-        idx.append(pos % size)
-        pos //= size
-    return tuple(reversed(idx))
 
 
 def best_rank_one(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ class TestErrors:
         with open(path, "w") as f:
             f.write("{not json")
         assert main(["nnorm", path]) == EXIT_INPUT
+
+    def test_non_finite_binary_file(self, capfd, tmp_path):
+        # rejected on reading, before any LAPACK routine sees the values
+        path = str(tmp_path / "inf.bin")
+        with open(path, "wb") as f:
+            f.write(struct.pack("<3Q", 2, 3, 3))
+            f.write(np.full(18, np.inf, dtype="<f8").tobytes())
+        assert main(["snorm", path]) == EXIT_INPUT
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+        assert err.count("\n") == 1
+        assert "DLASCL" not in err and "LinAlgError" not in err
 
 
 class TestVerify:

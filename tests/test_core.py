@@ -42,6 +42,12 @@ class TestTensor3:
         with pytest.raises(ValueError):
             Tensor3(np.zeros((0, 2, 2)))
 
+    def test_rejects_non_finite(self):
+        vals = np.zeros((3, 4, 4))
+        vals[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Tensor3(vals)
+
     def test_slices_read_only(self):
         T = gen_gaussian(2, 2, 2, seed=1)
         with pytest.raises(ValueError):
@@ -66,6 +72,12 @@ class TestTensorD:
     def test_rejects_matrices(self):
         with pytest.raises(ValueError):
             TensorD(np.zeros((3, 4)))
+
+    def test_rejects_non_finite(self):
+        vals = np.ones((2, 2, 3, 3))
+        vals[0, 1, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            TensorD(vals)
 
 
 class TestEvaluate:

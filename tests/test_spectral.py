@@ -15,6 +15,8 @@ from tensornorms import (
     gen_orthogonal_test,
     gen_orthogonal_test_order4,
     lower_bound_alpha1,
+    nuclear_lower_bound_flatten,
+    nuclear_norm_fptas,
     polish_rank_one,
     sample_uniform,
     spectral_norm_fptas,
@@ -121,6 +123,23 @@ class TestFptas:
             spectral_norm_fptas(T, 1e-2, mode="l2")
         with pytest.raises(ValueError):
             spectral_norm_fptas(T, 1e-2, point_set=sample_uniform(4, 10, seed=0))
+
+    def test_nonpositive_theta_uncertified(self):
+        # eps so large that the coarsest grid has theta <= 0: no covering
+        # certificate, so both schemes fall back to their uncertified bounds
+        T = gen_gaussian(10, 4, 4, 0)
+        est = spectral_norm_fptas(T, 10.0)
+        assert est.theta <= 0
+        assert not est.certified
+        assert 0 < est.lower <= est.upper
+        assert est.upper == pytest.approx(upper_bound_alpha2(T), rel=1e-14)
+
+        T = gen_gaussian(6, 3, 3, 0)
+        est, _ = nuclear_norm_fptas(T, 10.0)
+        assert est.theta <= 0
+        assert not est.certified
+        assert 0 < est.lower <= est.upper
+        assert est.lower == pytest.approx(nuclear_lower_bound_flatten(T), rel=1e-12)
 
 
 class TestHigherOrder:
