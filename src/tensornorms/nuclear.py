@@ -25,7 +25,12 @@ from .grids import (
     resolution_for_error,
 )
 from .kernels import nuclear_norm, top_sigma
-from .spectral import NormEstimate, _order3_reduction, _product_grid_for
+from .spectral import (
+    NormEstimate,
+    _check_product_set,
+    _order3_reduction,
+    _product_grid_for,
+)
 
 __all__ = [
     "SolverConfig",
@@ -90,15 +95,20 @@ def nuclear_lower_bound_flatten(T: Tensor3) -> float:
 def _batched_project_spectral_ball(mats: np.ndarray) -> np.ndarray:
     """Project a stack of matrices onto the spectral unit ball.
 
-    Matrices with Frobenius norm <= 1 are already feasible and skip the SVD.
+    Matrices with Frobenius norm <= 1 are already feasible and skip the
+    eigensolve.  For the others, A'A = V diag(s^2) V' on the smaller side
+    gives the projection U min(s, 1) V' as A - A V diag(max(0, 1 - 1/s)) V'.
     """
     out = mats.copy()
     fro = np.linalg.norm(mats, axis=(1, 2))
     need = np.flatnonzero(fro > 1.0)
     if need.size:
-        u, s, vt = np.linalg.svd(mats[need], full_matrices=False)
-        np.minimum(s, 1.0, out=s)
-        out[need] = np.einsum("pij,pj,pjk->pik", u, s, vt)
+        wide = mats.shape[1] < mats.shape[2]
+        A = mats[need].transpose(0, 2, 1) if wide else mats[need]
+        w, V = np.linalg.eigh(A.transpose(0, 2, 1) @ A)
+        shrink = 1.0 - 1.0 / np.maximum(np.sqrt(np.maximum(w, 0.0)), 1.0)
+        P = A - ((A @ V) * shrink[:, None, :]) @ V.transpose(0, 2, 1)
+        out[need] = P.transpose(0, 2, 1) if wide else P
     return out
 
 
@@ -185,8 +195,8 @@ def solve_relaxation(
     Returns (Z*, value, dual matrices Lambda_x, info).  Only a small working
     set of constraints is ever active at the optimum, so the splitting solver
     runs on a growing working set: iterate, scan the whole grid for violated
-    constraints in one batched SVD pass, add the worst offenders, repeat
-    until the duality gap closes.  The returned Z is rescaled so every grid
+    constraints in one batched top-sigma pass, add the worst offenders,
+    repeat until the duality gap closes.  The returned Z is rescaled so every grid
     constraint holds exactly, making value = <T, Z> a guaranteed lower bound
     on the program optimum; the dual matrices satisfy T = sum_x x (outer)
     Lambda_x to round-off, so info["dual_value"] = sum_x ||Lambda_x||_* is a
@@ -260,7 +270,7 @@ def solve_relaxation(
         Xa = X[active]
         # both the last iterate and the ergodic average yield valid bounds;
         # keep whichever side of the sandwich each does better on; every
-        # constraint is re-verified by direct SVD of the contracted slices
+        # constraint is re-verified on the contracted slices by top_sigma
         viol_last = top_sigma(Z_last, X) - 1.0
         viol_avg = top_sigma(Z_avg, X) - 1.0
         cands = []
@@ -481,6 +491,8 @@ def nuclear_norm_fptas_d(
     if point_set is None:
         scale = nuclear_upper_bound_slices(T3) if mode == "absolute" else 1.0
         point_set = _product_grid_for(small_dims, epsilon, scale)
+    else:
+        _check_product_set(point_set, small_dims)
     return nuclear_norm_fptas(T3, epsilon, mode, point_set.flattened(), cfg)
 
 

@@ -169,6 +169,16 @@ def _product_grid_for(dims_small, epsilon: float, scale: float) -> ProductPointS
     return product_point_set(sets)
 
 
+def _check_product_set(point_set: ProductPointSet, small_dims) -> None:
+    """A caller's product grid must have one set per small mode, in order."""
+    dims = [s.dim for s in point_set.sets]
+    if dims != list(small_dims):
+        raise ValueError(
+            f"product point set dims {dims} != small tensor modes "
+            f"{list(small_dims)}"
+        )
+
+
 def spectral_norm_fptas_d(
     T: TensorD,
     epsilon: float,
@@ -187,6 +197,8 @@ def spectral_norm_fptas_d(
     if point_set is None:
         scale = upper_bound_alpha2(T3) if mode == "absolute" else 1.0
         point_set = _product_grid_for(small_dims, epsilon, scale)
+    else:
+        _check_product_set(point_set, small_dims)
     flat = point_set.flattened()
 
     est = spectral_norm_fptas(T3, epsilon, mode, flat)

@@ -8,6 +8,7 @@ from tensornorms import (
     SolverConfig,
     SolverError,
     Tensor3,
+    TensorD,
     UnitPointSet,
     assemble,
     build_hemisphere_grid,
@@ -21,6 +22,7 @@ from tensornorms import (
     nuclear_norm_fptas,
     nuclear_norm_fptas_d,
     nuclear_upper_bound_slices,
+    product_point_set,
     sample_uniform,
     solve_relaxation,
 )
@@ -159,6 +161,13 @@ class TestHigherOrder:
         assert est.certified
         assert est.lower <= truth + 1e-6 <= est.upper + 2e-6
         assert abs(est.value - truth) / truth <= 1e-1
+
+    def test_rejects_product_set_in_the_wrong_mode_order(self):
+        T = TensorD(np.random.default_rng(0).standard_normal((2, 3, 8, 8)))
+        swapped = product_point_set(
+            [build_hemisphere_grid(3, 20), build_hemisphere_grid(2, 20)])
+        with pytest.raises(ValueError, match="small tensor modes"):
+            nuclear_norm_fptas_d(T, 1e-2, point_set=swapped)
 
 
 class TestExtraction:

@@ -18,6 +18,7 @@ from tensornorms import (
     nuclear_lower_bound_flatten,
     nuclear_norm_fptas,
     polish_rank_one,
+    product_point_set,
     sample_uniform,
     spectral_norm_fptas,
     spectral_norm_fptas_d,
@@ -158,6 +159,20 @@ class TestHigherOrder:
         x1, x2, y, z = est.witness
         attained = float(np.einsum("abjk,a,b,j,k->", vals, x1, x2, y, z))
         assert attained == pytest.approx(est.value, rel=1e-10)
+
+    def test_rejects_product_set_in_the_wrong_mode_order(self):
+        # sets for modes of sizes 3 and 2 on a tensor whose small modes are
+        # 2 and 3 once certified an upper bound below the attained value
+        T = TensorD(np.random.default_rng(0).standard_normal((2, 3, 8, 8)))
+        swapped = product_point_set(
+            [build_hemisphere_grid(3, 20), build_hemisphere_grid(2, 20)])
+        with pytest.raises(ValueError, match="small tensor modes"):
+            spectral_norm_fptas_d(T, 1e-2, point_set=swapped)
+        ordered = product_point_set(
+            [build_hemisphere_grid(2, 20), build_hemisphere_grid(3, 20)])
+        est = spectral_norm_fptas_d(T, 1e-2, point_set=ordered)
+        assert [len(w) for w in est.witness] == [2, 3, 8, 8]
+        assert est.upper >= spectral_norm_fptas_d(T, 1e-2).lower
 
 
 class TestRankOne:
