@@ -74,28 +74,6 @@ def _angles_to_points(phis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _enumerate_angle_indices(levels: list[int]) -> list[tuple[int, ...]]:
-    """Angle-index tuples with trailing entries pinned to 0 after a zero index.
-
-    Once some angle is 0 the remaining Cartesian coordinates vanish, so any
-    later angle choice would duplicate a point; the enumeration simply stops
-    descending there.
-    """
-    tuples: list[tuple[int, ...]] = []
-
-    def descend(prefix: tuple[int, ...], depth: int) -> None:
-        if depth == len(levels):
-            tuples.append(prefix)
-            return
-        tail = (0,) * (len(levels) - depth)
-        tuples.append(prefix + tail)
-        for idx in range(1, levels[depth]):
-            descend(prefix + (idx,), depth + 1)
-
-    descend((), 0)
-    return tuples
-
-
 def hemisphere_point_count(ell: int, q: int) -> int:
     """Closed-form size of the deduplicated hemisphere grid."""
     if q == 2:
@@ -114,10 +92,13 @@ def build_hemisphere_grid(ell: int, q: int) -> UnitPointSet:
     """Deduplicated hemisphere grid: all angles on {0, d, ..., (q-1)d}, d = pi/q."""
     if ell < 2 or q < 2:
         raise ValueError("need ell >= 2 and q >= 2")
-    delta = math.pi / q
-    tuples = _enumerate_angle_indices([q] * (ell - 1))
-    phis = np.array(tuples, dtype=float) * delta
-    points = _angles_to_points(phis)
+    # angle-index rows in lexicographic order; once an angle is 0 the
+    # remaining Cartesian coordinates vanish, so a row whose zeros do not all
+    # trail would duplicate a point and is dropped
+    idx = np.indices([q] * (ell - 1)).reshape(ell - 1, -1).T
+    nonzero = idx > 0
+    idx = idx[np.all(nonzero[:, :-1] >= nonzero[:, 1:], axis=1)]
+    points = _angles_to_points(idx * (math.pi / q))
     return UnitPointSet(ell, points, covering_coefficient(q, ell), q)
 
 

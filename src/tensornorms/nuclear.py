@@ -27,9 +27,9 @@ from .grids import (
 from .kernels import nuclear_norm, top_sigma
 from .spectral import (
     NormEstimate,
-    _check_product_set,
-    _order3_reduction,
-    _product_grid_for,
+    _check_point_set,
+    _check_target,
+    _order3_problem,
 )
 
 __all__ = [
@@ -229,7 +229,6 @@ def solve_relaxation(
     Tn = T.slices / tnorm
 
     active = _spanning_seed(X)
-    seed = set(active)
     in_set = set(active)
     rho = 1.0
     W = np.zeros((len(active), m, n))
@@ -295,25 +294,14 @@ def solve_relaxation(
         new = [int(p) for p in order[: 4 * _BATCH_POINTS]
                if viol_last[p] > 1e-9 and int(p) not in in_set][:_BATCH_POINTS]
         discovering = len(new) >= _BATCH_POINTS // 2
-        # prune exploratory points that ended up far from the active face
-        lam_norms = np.linalg.norm(lam_ws, axis=(1, 2))
-        lam_scale = max(float(lam_norms.max()), 1e-300)
-        keep = [
-            j for j, p in enumerate(active)
-            if p in seed or viol_last[p] > -0.1
-            or lam_norms[j] > 1e-12 * lam_scale
-        ]
-        if len(keep) < len(active):
-            active = [active[j] for j in keep]
-            in_set = seed | set(active)
-            W, U = W[keep], U[keep]
         if not new:
             if total_iters >= cfg.max_iters:
                 break
             continue
         active.extend(new)
         in_set.update(new)
-        # warm start: retained points keep their splitting state
+        # warm start: the working set only grows, and every point keeps its
+        # splitting state
         W = np.concatenate([W, np.zeros((len(new), m, n))])
         U = np.concatenate([U, np.zeros((len(new), m, n))])
 
@@ -348,14 +336,14 @@ def extract_nuclear_decomposition(
     points: UnitPointSet,
     stationarity_residual: float = 0.0,
     max_stationarity: float = 1e-6,
-    drop_tol: float | None = None,
 ) -> RankOneDecomposition:
     """Rank-one terms from the SVDs of the per-constraint dual matrices.
 
     Each dual matrix Lambda_x = sum_j s_j u_j v_j' contributes terms
     (s_j, x, u_j, v_j); since T = sum_x x (outer) Lambda_x up to the
     stationarity residual, the assembled terms reconstruct T to the same
-    accuracy.
+    accuracy.  Terms come in point order, then in singular-value order, and
+    those below 1e-8 of the total weight are dropped.
     """
     if stationarity_residual > max_stationarity:
         raise SolverError(
@@ -364,43 +352,11 @@ def extract_nuclear_decomposition(
         )
     norms = np.linalg.norm(lambdas, axis=(1, 2))
     active = np.flatnonzero(norms > 1e-14 * max(norms.max(), 1e-300))
-    total = 0.0
-    svds = []
-    for p in active:
-        u, s, vt = np.linalg.svd(lambdas[p], full_matrices=False)
-        svds.append((p, u, s, vt))
-        total += s.sum()
-    if drop_tol is None:
-        drop_tol = 1e-8 * total
-    terms = []
-    for p, u, s, vt in svds:
-        x = points.points[p]
-        for j in range(s.size):
-            if s[j] >= drop_tol:
-                terms.append((float(s[j]), x, u[:, j], vt[j]))
-    return RankOneDecomposition(tuple(terms))
-
-
-def _estimate_from_solution(
-    value: float, dual_value: float, theta: float | None, mode: str,
-    epsilon: float, n_points: int, q: int | None, lower_fallback: float,
-    seconds: float,
-) -> NormEstimate:
-    if theta is not None and theta > 0:
-        # value = <T, Z> at a feasible Z sits below the program optimum and
-        # the dual value above it, so theta * value <= ||T||_* <= dual value
-        # regardless of how far the splitting iterations were run
-        lower, upper, certified = theta * value, dual_value, True
-    else:
-        # random point sets and grids too coarse for a positive theta carry
-        # no covering certificate for the lower bound, but the dual value
-        # still upper-bounds the nuclear norm
-        lower, upper, certified = lower_fallback, dual_value, False
-    return NormEstimate(
-        value=value, lower=lower, upper=upper, mode=mode, epsilon=epsilon,
-        certified=certified, grid_points_used=n_points, q=q, theta=theta,
-        witness=None, seconds=seconds,
-    )
+    u, s, vt = np.linalg.svd(lambdas[active], full_matrices=False)
+    return RankOneDecomposition(tuple(
+        (float(s[a, j]), points.points[active[a]], u[a, :, j], vt[a, j])
+        for a, j in zip(*np.nonzero(s >= 1e-8 * s.sum()))
+    ))
 
 
 def nuclear_norm_fptas(
@@ -411,10 +367,7 @@ def nuclear_norm_fptas(
     cfg: SolverConfig | None = None,
 ) -> tuple[NormEstimate, NuclearCertificate]:
     """Certified nuclear norm approximation via the grid-relaxed program."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if mode not in ("absolute", "relative"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_target(epsilon, mode)
     t0 = time.perf_counter()
     ell, m, n = T.dims
 
@@ -441,6 +394,7 @@ def nuclear_norm_fptas(
     if point_set is None:
         q = resolution_for_error(ell, epsilon, scale)
         point_set = build_hemisphere_grid(ell, q)
+    _check_point_set(point_set, ell)
     if cfg is None:
         # the covering relaxation already loosens the certificate by roughly
         # epsilon, so the solver gap only has to be small relative to that
@@ -449,10 +403,20 @@ def nuclear_norm_fptas(
 
     Z, primal, lam, info = solve_relaxation(T, point_set, cfg)
     theta = point_set.theta
-    est = _estimate_from_solution(
-        primal, info["dual_value"], theta, mode, epsilon, len(point_set),
-        point_set.q, lower_fallback=nuclear_lower_bound_flatten(T),
-        seconds=time.perf_counter() - t0,
+    if theta is not None and theta > 0:
+        # primal = <T, Z> at a feasible Z sits below the program optimum and
+        # the dual value above it, so theta * primal <= ||T||_* <= dual value
+        # regardless of how far the splitting iterations were run
+        lower, certified = theta * primal, True
+    else:
+        # random point sets and grids too coarse for a positive theta carry
+        # no covering certificate for the lower bound, but the dual value
+        # still upper-bounds the nuclear norm
+        lower, certified = nuclear_lower_bound_flatten(T), False
+    est = NormEstimate(
+        value=primal, lower=lower, upper=info["dual_value"], mode=mode,
+        epsilon=epsilon, certified=certified, grid_points_used=len(point_set),
+        q=point_set.q, theta=theta, seconds=time.perf_counter() - t0,
     )
     dec = extract_nuclear_decomposition(
         lam, point_set,
@@ -481,18 +445,12 @@ def nuclear_norm_fptas_d(
 ) -> tuple[NormEstimate, NuclearCertificate]:
     """Higher-order variant with constraints indexed by product grid tuples.
 
-    The relaxation is solved on the flattening from ``_order3_reduction``
+    The relaxation is solved on the flattening from ``_order3_problem``
     with flattened product points, so each decomposition term carries the
     Kronecker product of its leading-mode factors as its first vector.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    T3, _, small_dims = _order3_reduction(T)
-    if point_set is None:
-        scale = nuclear_upper_bound_slices(T3) if mode == "absolute" else 1.0
-        point_set = _product_grid_for(small_dims, epsilon, scale)
-    else:
-        _check_product_set(point_set, small_dims)
+    T3, _, point_set = _order3_problem(T, epsilon, mode, point_set,
+                                       nuclear_upper_bound_slices)
     return nuclear_norm_fptas(T3, epsilon, mode, point_set.flattened(), cfg)
 
 

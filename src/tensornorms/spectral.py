@@ -18,6 +18,7 @@ from .grids import (
     ProductPointSet,
     UnitPointSet,
     build_hemisphere_grid,
+    product_point_set,
     resolution_for_error,
 )
 from .kernels import spectral_norm, top_sigma, top_singular_pair
@@ -82,6 +83,20 @@ def upper_bound_alpha2(T: Tensor3) -> float:
     return float(min(flat, np.sqrt(np.sum(slice_norms**2))))
 
 
+def _check_target(epsilon: float, mode: str) -> None:
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if mode not in ("absolute", "relative"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _check_point_set(point_set: UnitPointSet, ell: int) -> None:
+    if len(point_set) == 0:
+        raise ValueError("point set is empty")
+    if point_set.dim != ell:
+        raise ValueError(f"point set dim {point_set.dim} != first tensor dim {ell}")
+
+
 def spectral_norm_fptas(
     T: Tensor3,
     epsilon: float,
@@ -96,10 +111,7 @@ def spectral_norm_fptas(
     (random samples, or a resolution too coarse for the first dimension)
     certify nothing, and the upper bound falls back to ``upper_bound_alpha2``.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if mode not in ("absolute", "relative"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_target(epsilon, mode)
     t0 = time.perf_counter()
     ell, m, n = T.dims
 
@@ -115,10 +127,7 @@ def spectral_norm_fptas(
         scale = upper_bound_alpha2(T) if mode == "absolute" else 1.0
         q = resolution_for_error(ell, epsilon, scale)
         point_set = build_hemisphere_grid(ell, q)
-    if len(point_set) == 0:
-        raise ValueError("point set is empty")
-    if point_set.dim != ell:
-        raise ValueError(f"point set dim {point_set.dim} != first tensor dim {ell}")
+    _check_point_set(point_set, ell)
 
     sigmas = top_sigma(T.slices, point_set.points)
     idx = int(np.argmax(sigmas))  # ties go to the first point
@@ -140,43 +149,41 @@ def spectral_norm_fptas(
     )
 
 
-def _order3_reduction(T: TensorD) -> tuple[Tensor3, list[int], tuple[int, ...]]:
-    """(T3, perm, small_dims): the order-3 tensor the order-d schemes solve on.
+def _order3_problem(
+    T: TensorD, epsilon: float, mode: str,
+    point_set: ProductPointSet | None, upper_bound,
+) -> tuple[Tensor3, list[int], ProductPointSet]:
+    """(T3, perm, point_set): the order-3 problem an order-d scheme solves.
 
-    ``perm`` moves the two largest modes last (stably) and ``small_dims`` are
-    the remaining leading dimensions, which T3 flattens into its first mode.
-    Contracting a tensor by a tuple of leading-mode vectors equals
-    contracting that flattening by their Kronecker product, so the order-3
-    machinery applies to T3 directly.
+    ``perm`` moves the two largest modes last (stably), and T3 flattens the
+    remaining small modes into its first mode.  Contracting a tensor by a
+    tuple of small-mode vectors equals contracting that flattening by their
+    Kronecker product, so the order-3 schemes apply to T3 with the flattened
+    product set.  Without a caller's set, each small mode gets a hemisphere
+    grid, the error budget split evenly over the modes of size >= 2; a
+    size-1 mode gets the single point [1.0] with theta = 1.  ``upper_bound``
+    scales absolute-mode grids.
     """
+    _check_target(epsilon, mode)
     dims = T.dims
     order = sorted(range(len(dims)), key=lambda i: (dims[i], i))
     perm = sorted(order[:-2]) + sorted(order[-2:])
     vals = np.transpose(T.values, perm)
-    small_dims = vals.shape[:-2]
-    return Tensor3(vals.reshape(-1, *vals.shape[-2:])), perm, small_dims
-
-
-def _product_grid_for(dims_small, epsilon: float, scale: float) -> ProductPointSet:
-    """One hemisphere grid per small mode, splitting the error budget evenly."""
-    from .grids import product_point_set
-
-    eps_each = epsilon / len(dims_small)
-    sets = [
-        build_hemisphere_grid(d, resolution_for_error(d, eps_each, scale))
-        for d in dims_small
-    ]
-    return product_point_set(sets)
-
-
-def _check_product_set(point_set: ProductPointSet, small_dims) -> None:
-    """A caller's product grid must have one set per small mode, in order."""
-    dims = [s.dim for s in point_set.sets]
-    if dims != list(small_dims):
+    small_dims = list(vals.shape[:-2])
+    T3 = Tensor3(vals.reshape(-1, *vals.shape[-2:]))
+    if point_set is None:
+        scale = upper_bound(T3) if mode == "absolute" else 1.0
+        eps_each = epsilon / max(sum(d > 1 for d in small_dims), 1)
+        point_set = product_point_set([
+            build_hemisphere_grid(d, resolution_for_error(d, eps_each, scale))
+            if d > 1 else UnitPointSet(1, np.ones((1, 1)), 1.0)
+            for d in small_dims
+        ])
+    elif (set_dims := [s.dim for s in point_set.sets]) != small_dims:
         raise ValueError(
-            f"product point set dims {dims} != small tensor modes "
-            f"{list(small_dims)}"
+            f"product point set dims {set_dims} != small tensor modes {small_dims}"
         )
+    return T3, perm, point_set
 
 
 def spectral_norm_fptas_d(
@@ -187,18 +194,12 @@ def spectral_norm_fptas_d(
 ) -> NormEstimate:
     """Higher-order variant: product hemisphere grids over all but two modes.
 
-    The order-3 scheme runs on the flattening from ``_order3_reduction``, and
+    The order-3 scheme runs on the flattening from ``_order3_problem``, and
     the witness comes back with one factor per mode in the caller's order.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     t0 = time.perf_counter()
-    T3, perm, small_dims = _order3_reduction(T)
-    if point_set is None:
-        scale = upper_bound_alpha2(T3) if mode == "absolute" else 1.0
-        point_set = _product_grid_for(small_dims, epsilon, scale)
-    else:
-        _check_product_set(point_set, small_dims)
+    T3, perm, point_set = _order3_problem(T, epsilon, mode, point_set,
+                                          upper_bound_alpha2)
     flat = point_set.flattened()
 
     est = spectral_norm_fptas(T3, epsilon, mode, flat)

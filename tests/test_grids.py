@@ -87,6 +87,18 @@ class TestHemisphereGrid:
             cover = np.abs(us @ grid.points.T).max(axis=1)
             assert cover.min() >= theta - 1e-12
 
+    def test_order_matches_independent_reference(self):
+        # rows follow the lexicographic order of the angle indices whose
+        # zeros trail; spectral ties go to the first point and the nuclear
+        # spanning seed follows grid order, so the order is part of the API
+        for ell, q in itertools.product(range(2, 7), (2, 3, 7)):
+            rows = [r for r in itertools.product(range(q), repeat=ell - 1)
+                    if 0 not in r[:len(r) - r.count(0)]]
+            expected = np.array([spherical_to_cartesian(np.array(r) * (math.pi / q))
+                                 for r in rows])
+            np.testing.assert_array_equal(build_hemisphere_grid(ell, q).points,
+                                          expected)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             build_hemisphere_grid(1, 5)

@@ -145,6 +145,12 @@ class TestFptas:
         assert est.lower == pytest.approx(nuclear_lower_bound_flatten(T), rel=1e-12)
         assert est.upper == pytest.approx(cert.dual_value, rel=1e-12)
 
+    def test_rejects_point_set_of_the_wrong_dim(self):
+        T = gen_gaussian(3, 4, 4, seed=0)
+        for dim in (2, 4):
+            with pytest.raises(ValueError, match="point set dim"):
+                nuclear_norm_fptas(T, 1e-1, point_set=build_hemisphere_grid(dim, 5))
+
     def test_validation(self):
         T = gen_gaussian(2, 3, 3, seed=0)
         with pytest.raises(ValueError):
@@ -169,6 +175,20 @@ class TestHigherOrder:
         with pytest.raises(ValueError, match="small tensor modes"):
             nuclear_norm_fptas_d(T, 1e-2, point_set=swapped)
 
+    def test_size_one_mode(self):
+        # a size-1 mode gets the single point [1.0]: the same bracket as the
+        # order-3 call on the squeezed tensor, and the exact path when every
+        # small mode has size 1
+        vals = np.random.default_rng(15).standard_normal((2, 1, 5, 5))
+        est, _ = nuclear_norm_fptas_d(TensorD(vals), 1e-1)
+        est3, _ = nuclear_norm_fptas(Tensor3(vals[:, 0]), 1e-1)
+        assert (est.lower, est.upper) == (est3.lower, est3.upper)
+        for shape in ((1, 5, 5), (1, 1, 5, 5)):
+            est, cert = nuclear_norm_fptas_d(TensorD(vals[0, 0].reshape(shape)), 1e-1)
+            assert est.lower == est.upper == pytest.approx(nuclear_norm(vals[0, 0]),
+                                                           rel=1e-12)
+            assert cert.solver_iterations == 0
+
 
 class TestExtraction:
     def test_stationarity_gate(self):
@@ -179,6 +199,21 @@ class TestExtraction:
                 lam[: len(pts)], pts, stationarity_residual=1.0,
                 max_stationarity=1e-6,
             )
+
+    def test_terms_in_point_then_singular_value_order(self):
+        pts = build_hemisphere_grid(2, 3)  # three points
+        lam = np.zeros((3, 2, 2))
+        lam[1] = np.diag([3.0, 1e-9])  # 1e-9 is below 1e-8 of the total weight
+        lam[2] = [[0.0, 2.0], [-0.5, 0.0]]  # rank two, singular values 2 and 0.5
+        dec = extract_nuclear_decomposition(lam, pts)
+        assert [t[0] for t in dec.terms] == [3.0, 2.0, 0.5]
+        for (_, x, _, _), p in zip(dec.terms, [1, 2, 2]):
+            np.testing.assert_array_equal(x, pts.points[p])
+        for p in (1, 2):
+            parts = [w * np.outer(y, z) for w, x, y, z in dec.terms
+                     if np.array_equal(x, pts.points[p])]
+            np.testing.assert_allclose(sum(parts), lam[p], atol=2e-9)
+        assert len(extract_nuclear_decomposition(np.zeros((3, 2, 2)), pts)) == 0
 
     def test_terms_are_unit_factors(self):
         T, _ = gen_orthogonal_test(3, 4, 4, 2, seed=8)

@@ -7,6 +7,7 @@ import pytest
 
 from tensornorms import (
     NormEstimate,
+    Tensor3,
     TensorD,
     best_rank_one,
     build_hemisphere_grid,
@@ -125,6 +126,12 @@ class TestFptas:
         with pytest.raises(ValueError):
             spectral_norm_fptas(T, 1e-2, point_set=sample_uniform(4, 10, seed=0))
 
+    def test_rejects_point_set_of_the_wrong_dim(self):
+        T = gen_gaussian(3, 4, 4, seed=0)
+        for dim in (2, 4):
+            with pytest.raises(ValueError, match="point set dim"):
+                spectral_norm_fptas(T, 1e-2, point_set=build_hemisphere_grid(dim, 5))
+
     def test_nonpositive_theta_uncertified(self):
         # eps so large that the coarsest grid has theta <= 0: no covering
         # certificate, so both schemes fall back to their uncertified bounds
@@ -173,6 +180,22 @@ class TestHigherOrder:
         est = spectral_norm_fptas_d(T, 1e-2, point_set=ordered)
         assert [len(w) for w in est.witness] == [2, 3, 8, 8]
         assert est.upper >= spectral_norm_fptas_d(T, 1e-2).lower
+
+    def test_size_one_mode(self):
+        # a size-1 mode gets the single point [1.0]: the same bracket as the
+        # order-3 call on the squeezed tensor, and the exact path when every
+        # small mode has size 1
+        vals = np.random.default_rng(15).standard_normal((2, 1, 5, 5))
+        est = spectral_norm_fptas_d(TensorD(vals), 1e-2)
+        est3 = spectral_norm_fptas(Tensor3(vals[:, 0]), 1e-2)
+        assert (est.lower, est.upper) == (est3.lower, est3.upper)
+        assert [len(w) for w in est.witness] == [2, 1, 5, 5]
+        np.testing.assert_array_equal(est.witness[1], [1.0])
+        for shape in ((1, 5, 5), (1, 1, 5, 5)):
+            est = spectral_norm_fptas_d(TensorD(vals[0, 0].reshape(shape)), 1e-2)
+            assert est.lower == est.upper == pytest.approx(
+                np.linalg.norm(vals[0, 0], 2), rel=1e-12)
+            assert est.grid_points_used == 0
 
 
 class TestRankOne:
