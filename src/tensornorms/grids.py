@@ -92,12 +92,14 @@ def build_hemisphere_grid(ell: int, q: int) -> UnitPointSet:
     """Deduplicated hemisphere grid: all angles on {0, d, ..., (q-1)d}, d = pi/q."""
     if ell < 2 or q < 2:
         raise ValueError("need ell >= 2 and q >= 2")
-    # angle-index rows in lexicographic order; once an angle is 0 the
-    # remaining Cartesian coordinates vanish, so a row whose zeros do not all
-    # trail would duplicate a point and is dropped
-    idx = np.indices([q] * (ell - 1)).reshape(ell - 1, -1).T
-    nonzero = idx > 0
-    idx = idx[np.all(nonzero[:, :-1] >= nonzero[:, 1:], axis=1)]
+    # angle-index rows in lexicographic order, built from the last angle
+    # forward; once an angle is 0 the remaining Cartesian coordinates vanish,
+    # so the rest of that row stays 0 and no duplicate point is ever built
+    idx = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(ell - 1):
+        head = np.repeat(np.arange(1, q), len(idx))
+        idx = np.vstack([np.zeros((1, idx.shape[1] + 1), dtype=np.int64),
+                         np.column_stack([head, np.tile(idx, (q - 1, 1))])])
     points = _angles_to_points(idx * (math.pi / q))
     return UnitPointSet(ell, points, covering_coefficient(q, ell), q)
 

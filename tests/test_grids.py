@@ -62,6 +62,13 @@ class TestHemisphereGrid:
         assert len(grid) == 3
         np.testing.assert_allclose(grid.points, np.eye(3), atol=1e-15)
 
+    def test_q2_at_high_dim_stays_linear(self):
+        # only the kept rows are built, so a long q=2 grid costs ell points
+        # (a full q^(ell-1) index cube here would need terabytes)
+        grid = build_hemisphere_grid(40, 2)
+        assert len(grid) == 40
+        np.testing.assert_allclose(grid.points, np.eye(40), atol=1e-15)
+
     def test_points_unit_and_distinct(self):
         grid = build_hemisphere_grid(4, 7)
         norms = np.linalg.norm(grid.points, axis=1)

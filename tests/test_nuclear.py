@@ -150,6 +150,14 @@ class TestFptas:
         for dim in (2, 4):
             with pytest.raises(ValueError, match="point set dim"):
                 nuclear_norm_fptas(T, 1e-1, point_set=build_hemisphere_grid(dim, 5))
+        # checked before the solve, so ValueError rather than SolverError
+        with pytest.raises(ValueError, match="point set is empty"):
+            nuclear_norm_fptas(T, 1e-1, point_set=UnitPointSet(3, np.empty((0, 3)), None))
+
+    def test_absolute_mode_zero_tensor_at_large_ell(self):
+        est, _ = nuclear_norm_fptas(Tensor3(np.zeros((30, 3, 3))), 1e-2, mode="absolute")
+        assert est.q == 2 and est.grid_points_used == 30
+        assert est.lower == est.upper == 0.0
 
     def test_validation(self):
         T = gen_gaussian(2, 3, 3, seed=0)

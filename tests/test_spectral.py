@@ -9,6 +9,7 @@ from tensornorms import (
     NormEstimate,
     Tensor3,
     TensorD,
+    UnitPointSet,
     best_rank_one,
     build_hemisphere_grid,
     evaluate,
@@ -117,6 +118,12 @@ class TestFptas:
         assert est.upper - est.lower <= 0.05 + 1e-12
         assert abs(est.value - truth) <= 0.05
 
+    def test_absolute_mode_zero_tensor_at_large_ell(self):
+        # the zero norm bound gives the coarsest grid, q = 2: ell points
+        est = spectral_norm_fptas(Tensor3(np.zeros((30, 3, 3))), 1e-2, mode="absolute")
+        assert est.q == 2 and est.grid_points_used == 30
+        assert est.lower == est.upper == 0.0
+
     def test_validation(self):
         T = gen_gaussian(2, 3, 3, seed=0)
         with pytest.raises(ValueError):
@@ -131,6 +138,8 @@ class TestFptas:
         for dim in (2, 4):
             with pytest.raises(ValueError, match="point set dim"):
                 spectral_norm_fptas(T, 1e-2, point_set=build_hemisphere_grid(dim, 5))
+        with pytest.raises(ValueError, match="point set is empty"):
+            spectral_norm_fptas(T, 1e-2, point_set=UnitPointSet(3, np.empty((0, 3)), None))
 
     def test_nonpositive_theta_uncertified(self):
         # eps so large that the coarsest grid has theta <= 0: no covering
