@@ -57,7 +57,6 @@ from .spectral import (
     estimate_from_dict,
     estimate_to_dict,
     lower_bound_alpha1,
-    polish_rank_one,
     spectral_norm_fptas,
     spectral_norm_fptas_d,
     upper_bound_alpha2,

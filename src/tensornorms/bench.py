@@ -1,8 +1,6 @@
-"""Benchmark sweeps and quick self-checks backing the CLI."""
+"""The error sweep and quick self-checks backing the CLI."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -18,7 +16,7 @@ from .grids import build_hemisphere_grid, covering_coefficient, hemisphere_point
 from .nuclear import nuclear_norm_fptas
 from .spectral import spectral_norm_fptas
 
-__all__ = ["time_sweep", "error_sweep", "run_self_checks"]
+__all__ = ["error_sweep", "run_self_checks"]
 
 
 def _run_once(norm: str, T, eps: float):
@@ -26,20 +24,6 @@ def _run_once(norm: str, T, eps: float):
         return spectral_norm_fptas(T, eps, "relative")
     est, _ = nuclear_norm_fptas(T, eps, "relative")
     return est
-
-
-def time_sweep(norm: str, ells, n: int, epsilons, seed: int) -> list[dict]:
-    """CPU seconds per (ell, epsilon) cell on Gaussian ell x n x n tensors."""
-    rows = []
-    for ell in ells:
-        T = gen_gaussian(ell, n, n, seed + ell)
-        row: dict = {"ell": ell, "n": n}
-        for eps in epsilons:
-            t0 = time.perf_counter()
-            _run_once(norm, T, eps)
-            row[f"eps={eps:g}"] = round(time.perf_counter() - t0, 4)
-        rows.append(row)
-    return rows
 
 
 def error_sweep(norm: str, ells, n: int, epsilons, seed: int) -> list[dict]:

@@ -6,16 +6,13 @@ import argparse
 import csv
 import json
 import sys
-import time
-
-import numpy as np
 
 from . import bench
 from .core import (
-    Tensor3,
     gen_gaussian,
     gen_orthogonal_test,
     gen_sequence_example,
+    named_factors,
     read_tensor,
     write_tensor,
 )
@@ -84,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--binary", action="store_true")
 
-    p = sub.add_parser("bench", help="benchmark sweeps as CSV")
-    p.add_argument("--suite", choices=["time", "error"], default="time")
+    p = sub.add_parser("bench", help="error sweep on known-norm tensors as CSV")
     p.add_argument("--norm", choices=["spectral", "nuclear"], default="spectral")
     p.add_argument("--ells", default="2,3", help="comma list of first dims")
     p.add_argument("--n", type=int, default=10, help="trailing dimension")
@@ -123,6 +119,8 @@ def _cmd_nnorm(args) -> int:
 
 def _cmd_gen(args) -> int:
     dims = tuple(int(d) for d in args.dims.split(","))
+    if args.kind != "seq" and len(dims) != 3:
+        raise ValueError(f"--dims needs three sizes l,m,n, got {args.dims!r}")
     if args.kind == "seq":
         T = gen_sequence_example()
         sidecar = None
@@ -135,11 +133,8 @@ def _cmd_gen(args) -> int:
         sidecar = {
             "spectral": max(weights),
             "nuclear": sum(weights),
-            "decomposition": [
-                {"lambda": t[0], "x": t[1].tolist(), "y": t[2].tolist(),
-                 "z": t[3].tolist()}
-                for t in dec.terms
-            ],
+            "decomposition": [{"lambda": t[0], **named_factors(t[1:])}
+                              for t in dec.terms],
         }
     write_tensor(T, args.out, binary=args.binary)
     if sidecar is not None:
@@ -151,10 +146,7 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     ells = [int(v) for v in args.ells.split(",")]
     epsilons = [float(v) for v in args.epsilons.split(",")]
-    if args.suite == "time":
-        rows = bench.time_sweep(args.norm, ells, args.n, epsilons, args.seed)
-    else:
-        rows = bench.error_sweep(args.norm, ells, args.n, epsilons, args.seed)
+    rows = bench.error_sweep(args.norm, ells, args.n, epsilons, args.seed)
     with open(args.out, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()

@@ -124,6 +124,14 @@ class RankOneDecomposition:
         return float(sum(abs(t[0]) for t in self.terms))
 
 
+def named_factors(vectors) -> dict:
+    """JSON form of one vector per mode: x, y, z for three, else x1..xd."""
+    keys = ["x", "y", "z"] if len(vectors) == 3 else [
+        f"x{i + 1}" for i in range(len(vectors))
+    ]
+    return {k: v.tolist() for k, v in zip(keys, vectors)}
+
+
 def evaluate(T: Tensor3, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
     """Trilinear form sum_ijk t_ijk x_i y_j z_k."""
     ell, m, n = T.dims
@@ -273,6 +281,8 @@ def read_tensor(path: str) -> Tensor3:
     if head in (b"{", b"["):
         with open(path) as f:
             payload = json.load(f)
+        if not isinstance(payload, dict):
+            raise ValueError("tensor JSON must be an object with dims and values")
         dims = tuple(int(d) for d in payload["dims"])
         values = np.asarray(payload["values"], dtype=float)
         if len(dims) != 3:

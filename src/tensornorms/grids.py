@@ -40,6 +40,12 @@ class UnitPointSet:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points must have shape (count, {self.dim})")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        if np.any(np.abs(np.sqrt(np.einsum("ij,ij->i", pts, pts)) - 1.0) > 1e-10):
+            raise ValueError("points must have unit norm")
+        if self.theta is not None and not self.theta <= 1.0:
+            raise ValueError(f"theta must be at most 1, got {self.theta}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -110,7 +116,7 @@ def resolution_for_error(ell: int, epsilon: float, scale: float = 1.0) -> int:
     ``scale`` is the norm upper bound for absolute-error targets and 1 for
     relative-error targets.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
@@ -132,7 +138,8 @@ class ProductPointSet:
     """Lazy Cartesian product of unit point sets.
 
     ``theta`` is the product of member covering coefficients when all are
-    present, else None.
+    present and positive, the smallest of them when one is not positive
+    (no certificate), and None when one is missing.
     """
 
     def __init__(self, sets: list[UnitPointSet]):
@@ -148,6 +155,8 @@ class ProductPointSet:
         thetas = [s.theta for s in self.sets]
         if any(t is None for t in thetas):
             return None
+        if min(thetas) <= 0:
+            return float(min(thetas))
         return float(np.prod(thetas))
 
     def flattened(self) -> UnitPointSet:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import RankOneDecomposition, Tensor3, TensorD, flatten
+from .core import RankOneDecomposition, Tensor3, TensorD, flatten, named_factors
 from .grids import (
     ProductPointSet,
     UnitPointSet,
@@ -54,9 +54,9 @@ class SolverError(RuntimeError):
 class SolverConfig:
     gap_tol: float = 1e-5  # relative duality gap at which to stop
     stationarity_tol: float = 1e-6
-    max_iters: int = 200000  # total splitting iterations across all rounds
 
 
+_MAX_ITERS = 200000  # total splitting iterations across all rounds
 _PRIMAL_TOL = 1e-9  # floor of the splitting residual tolerance
 _MAX_OUTER = 200  # rounds of constraint generation
 _BURST_ITERS = 1500  # splitting iterations between constraint scans
@@ -124,17 +124,21 @@ def _admm_fixed_set(Tn, X, W, U, rho, n_iters, tol):
     ell, mn = Tn.shape[0], Tn.shape[1] * Tn.shape[2]
     gram_cho = scipy.linalg.cho_factor(X.T @ X)
     alpha = _OVER_RELAXATION
-    r_norm = s_norm = np.inf
+
+    def z_step():
+        # Gram Z = Tn/rho + X'(W - U) makes X' Lambda = Tn exact
+        rhs = Tn / rho + np.einsum("pi,pjk->ijk", X, W - U)
+        Z = scipy.linalg.cho_solve(gram_cho, rhs.reshape(ell, mn)).reshape(Tn.shape)
+        AZ = np.einsum("pi,ijk->pjk", X, Z)
+        return Z, AZ, rho * (AZ - W + U)
+
     # every iterate's Lambda satisfies X' Lambda = Tn exactly, so ergodic
     # averages are valid dual certificates too and settle much faster
     lam_sum = np.zeros_like(W)
     z_sum = np.zeros_like(Tn)
-    it = 0
     for it in range(1, n_iters + 1):
-        rhs = Tn / rho + np.einsum("pi,pjk->ijk", X, W - U)
-        Z = scipy.linalg.cho_solve(gram_cho, rhs.reshape(ell, mn)).reshape(Tn.shape)
-        AZ = np.einsum("pi,ijk->pjk", X, Z)
-        lam_sum += rho * (AZ - W + U)
+        Z, AZ, lam = z_step()
+        lam_sum += lam
         z_sum += Z
         AZ_hat = alpha * AZ + (1 - alpha) * W
         W_prev = W
@@ -156,12 +160,8 @@ def _admm_fixed_set(Tn, X, W, U, rho, n_iters, tol):
             elif s_norm > _ADAPT_RATIO * r_norm:
                 rho /= _ADAPT_FACTOR
                 U *= _ADAPT_FACTOR
-    # closing Z step: Gram Z = Tn/rho + X'(W - U) makes X' Lambda = Tn exact
-    rhs = Tn / rho + np.einsum("pi,pjk->ijk", X, W - U)
-    Z = scipy.linalg.cho_solve(gram_cho, rhs.reshape(ell, mn)).reshape(Tn.shape)
-    AZ = np.einsum("pi,ijk->pjk", X, Z)
-    lam = rho * (AZ - W + U)
-    return Z, W, U, lam, lam_sum / it, z_sum / it, rho, it, r_norm, s_norm
+    Z, _, lam = z_step()
+    return Z, W, U, lam, lam_sum / it, z_sum / it, rho, it
 
 
 def _spanning_seed(X: np.ndarray) -> list[int]:
@@ -219,114 +219,87 @@ def solve_relaxation(
 
     tnorm = float(np.linalg.norm(T.slices))
     if tnorm == 0.0:
-        zeros = np.zeros((N, m, n))
-        return (Tensor3(np.zeros((ell, m, n))), 0.0, zeros,
+        return (Tensor3(np.zeros((ell, m, n))), 0.0, np.zeros((N, m, n)),
                 {"iterations": 0, "outer_rounds": 0, "working_set_size": 0,
-                 "converged": True, "primal_residual": 0.0,
-                 "dual_residual": 0.0, "stationarity_residual": 0.0,
-                 "pre_rescale_violation": 0.0,
-                 "dual_value": 0.0, "gap": 0.0, "rho": 0.0})
+                 "converged": True, "stationarity_residual": 0.0,
+                 "dual_value": 0.0, "gap": 0.0})
     Tn = T.slices / tnorm
 
     active = _spanning_seed(X)
-    in_set = set(active)
     rho = 1.0
     W = np.zeros((len(active), m, n))
     U = np.zeros_like(W)
     total_iters = 0
-    r_norm = s_norm = np.inf
     gap = np.inf
-    max_viol = 0.0
-    p_hat = dual_val = 0.0
-    stat = np.inf
     converged = False
-    rounds = 0
     # the nuclear norm of the stationarity defect is bounded through its
     # flattening, giving a rigorous correction to the dual upper bound
     defect_factor = float(np.sqrt(min(ell * m, n)))
 
-    def dual_bound(lam_ws, Xa):
+    def rescaled(Zc, viol):
+        # dividing by 1 + the worst grid violation makes Zc feasible, so the
+        # rescaled objective is a valid lower bound
+        mv = max(float(viol.max()), 0.0)
+        return float(np.tensordot(Tn, Zc, axes=3)) / (1.0 + mv), Zc, mv
+
+    def dual_bound(lam):
         # any Lambda with T = sum_x x (outer) Lambda_x upper-bounds the
         # optimum by sum_x ||Lambda_x||_*; the identity holds to round-off
         # and the tiny defect is absorbed through its flattening
-        stat = float(np.linalg.norm(
-            Tn - np.einsum("pi,pjk->ijk", Xa, lam_ws)
-        ))
-        total = float(np.linalg.svd(lam_ws, compute_uv=False).sum())
-        return total + defect_factor * stat, stat
+        stat = float(np.linalg.norm(Tn - np.einsum("pi,pjk->ijk", Xa, lam)))
+        total = float(np.linalg.svd(lam, compute_uv=False).sum())
+        return total + defect_factor * stat, stat, lam
 
-    Z = lam_ws = None
     discovering = True
     for rounds in range(1, _MAX_OUTER + 1):
-        burst = min(300 if discovering else _BURST_ITERS,
-                    cfg.max_iters - total_iters)
-        if burst <= 0:
-            break
+        burst = min(300 if discovering else _BURST_ITERS, _MAX_ITERS - total_iters)
         tol = max(_PRIMAL_TOL, 0.02 * gap) if np.isfinite(gap) else 1e-4
-        Z_last, W, U, lam_last, lam_avg, Z_avg, rho, it, r_norm, s_norm = \
-            _admm_fixed_set(Tn, X[active], W, U, rho, burst, tol)
-        total_iters += it
         Xa = X[active]
+        Z_last, W, U, lam_last, lam_avg, Z_avg, rho, it = \
+            _admm_fixed_set(Tn, Xa, W, U, rho, burst, tol)
+        total_iters += it
         # both the last iterate and the ergodic average yield valid bounds;
         # keep whichever side of the sandwich each does better on; every
         # constraint is re-verified on the contracted slices by top_sigma
         viol_last = top_sigma(Z_last, X) - 1.0
-        viol_avg = top_sigma(Z_avg, X) - 1.0
-        cands = []
-        for Zc, viol_c in ((Z_last, viol_last), (Z_avg, viol_avg)):
-            mv = max(float(viol_c.max()), 0.0)
-            # rescaled objective: feasible, hence a valid lower bound
-            cands.append((float(np.tensordot(Tn, Zc, axes=3)) / (1.0 + mv),
-                          Zc, mv, viol_c))
-        p_hat, Z, max_viol, viol = max(cands, key=lambda c: c[0])
-        d_last, stat_last = dual_bound(lam_last, Xa)
-        d_avg, stat_avg = dual_bound(lam_avg, Xa)
-        if d_last <= d_avg:
-            dual_val, stat, lam_ws = d_last, stat_last, lam_last
-        else:
-            dual_val, stat, lam_ws = d_avg, stat_avg, lam_avg
-        lam_points = list(active)
+        p_hat, Z, max_viol = max(rescaled(Z_last, viol_last),
+                                 rescaled(Z_avg, top_sigma(Z_avg, X) - 1.0),
+                                 key=lambda c: c[0])
+        dual_val, stat, lam_ws = min(dual_bound(lam_last), dual_bound(lam_avg),
+                                     key=lambda c: c[0])
         gap = max(dual_val - p_hat, 0.0) / max(p_hat, 1e-300)
         if gap <= cfg.gap_tol:
             converged = True
             break
+        if total_iters >= _MAX_ITERS:
+            break
         order = np.argsort(viol_last)[::-1]
         new = [int(p) for p in order[: 4 * _BATCH_POINTS]
-               if viol_last[p] > 1e-9 and int(p) not in in_set][:_BATCH_POINTS]
+               if viol_last[p] > 1e-9 and int(p) not in active][:_BATCH_POINTS]
         discovering = len(new) >= _BATCH_POINTS // 2
-        if not new:
-            if total_iters >= cfg.max_iters:
-                break
-            continue
-        active.extend(new)
-        in_set.update(new)
         # warm start: the working set only grows, and every point keeps its
         # splitting state
+        active.extend(new)
         W = np.concatenate([W, np.zeros((len(new), m, n))])
         U = np.concatenate([U, np.zeros((len(new), m, n))])
 
-    if Z is None:
-        raise SolverError("iteration budget too small for a single round")
     # exact feasibility by rescaling; the reported value is the rescaled
     # objective, so [theta * value, dual_value] brackets the tensor norm
     Z = Z / (1.0 + max_viol)
     value = p_hat * tnorm
 
+    # the working set only grows, so lam_ws belongs to its leading points
     lam = np.zeros((N, m, n))
-    lam[lam_points] = lam_ws * tnorm
+    lam[active[:len(lam_ws)]] = lam_ws * tnorm
 
     info = {
         "iterations": total_iters,
         "outer_rounds": rounds,
         "working_set_size": len(active),
         "converged": converged,
-        "primal_residual": r_norm,
-        "dual_residual": s_norm,
         "stationarity_residual": stat,
-        "pre_rescale_violation": max_viol,
         "dual_value": dual_val * tnorm,
         "gap": gap,
-        "rho": rho,
     }
     return Tensor3(Z), value, lam, info
 
@@ -464,8 +437,7 @@ def certificate_to_dict(cert: NuclearCertificate) -> dict:
         "solver_iterations": cert.solver_iterations,
         "converged": cert.converged,
         "decomposition": [
-            {"lambda": t[0], **{k: v.tolist() for k, v in
-                                zip(["x", "y", "z"], t[1:])}}
+            {"lambda": t[0], **named_factors(t[1:])}
             for t in cert.dual_decomposition.terms
         ],
     }

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Tensor3, TensorD, contract_first, evaluate, flatten
+from .core import Tensor3, TensorD, contract_first, evaluate, flatten, named_factors
 from .grids import (
     ProductPointSet,
     UnitPointSet,
@@ -30,7 +30,6 @@ __all__ = [
     "spectral_norm_fptas",
     "spectral_norm_fptas_d",
     "best_rank_one",
-    "polish_rank_one",
     "estimate_to_dict",
     "estimate_from_dict",
 ]
@@ -84,7 +83,7 @@ def upper_bound_alpha2(T: Tensor3) -> float:
 
 
 def _check_target(epsilon: float, mode: str) -> None:
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if mode not in ("absolute", "relative"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -230,44 +229,10 @@ def best_rank_one(
     return lam, x, y, z, residual
 
 
-def polish_rank_one(
-    T: Tensor3,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-    max_iters: int = 100,
-    tol: float = 1e-12,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating local improvement of a rank-one witness.
-
-    Each sweep sets x proportional to the mode-1 contraction at (y, z), then
-    replaces (y, z) by the top singular pair at x; the objective never
-    decreases.
-    """
-    x = np.asarray(x, float).copy()
-    obj = evaluate(T, x, y, z)
-    for _ in range(max_iters):
-        u = T.slices @ z @ y
-        norm_u = np.linalg.norm(u)
-        if norm_u > 0:
-            x = u / norm_u
-        sigma, y, z = top_singular_pair(contract_first(T, x))
-        if sigma - obj <= tol * max(1.0, abs(obj)):
-            obj = sigma
-            break
-        obj = sigma
-    return obj, x, y, z
-
-
 # --- serialization ---------------------------------------------------------
 
 def estimate_to_dict(est: NormEstimate) -> dict:
-    witness = None
-    if est.witness is not None:
-        keys = ["x", "y", "z"] if len(est.witness) == 3 else [
-            f"x{i+1}" for i in range(len(est.witness))
-        ]
-        witness = {k: v.tolist() for k, v in zip(keys, est.witness)}
+    witness = None if est.witness is None else named_factors(est.witness)
     return {
         "value": est.value,
         "lower": est.lower,

@@ -95,16 +95,16 @@ class TestNorms:
 
 
 class TestBench:
-    def test_time_sweep_csv(self, tmp_path):
+    def test_error_sweep_csv(self, tmp_path):
         out = str(tmp_path / "bench.csv")
-        code = main(["bench", "--suite", "time", "--norm", "spectral",
-                     "--ells", "2,3", "--n", "6", "--epsilons", "1e-1",
-                     "--out", out])
+        code = main(["bench", "--norm", "spectral", "--ells", "2,3", "--n", "6",
+                     "--epsilons", "1e-1", "--out", out])
         assert code == EXIT_OK
         with open(out, newline="") as f:
             rows = list(csv.DictReader(f))
-        assert len(rows) == 2
-        assert all(float(r["eps=0.1"]) >= 0 for r in rows)
+        assert [int(r["ell"]) for r in rows] == [2, 3]
+        assert all(float(r["true_value"]) > 0 for r in rows)
+        assert all(0 <= float(r["eps=0.1"]) <= 0.1 for r in rows)
 
 
 class TestErrors:
@@ -122,6 +122,27 @@ class TestErrors:
         with open(path, "w") as f:
             f.write("{not json")
         assert main(["nnorm", path]) == EXIT_INPUT
+
+    def test_nan_epsilon(self, capsys, tmp_path):
+        path = str(tmp_path / "t.json")
+        main(["gen", "--kind", "gauss", "--dims", "2,3,3", "--out", path])
+        assert main(["snorm", path, "--eps", "nan"]) == EXIT_INPUT
+        assert "epsilon must be positive" in capsys.readouterr().err
+
+    def test_gen_with_two_dims(self, capsys, tmp_path):
+        path = str(tmp_path / "t.json")
+        assert main(["gen", "--kind", "gauss", "--dims", "3,3",
+                     "--out", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_json_array_file(self, capsys, tmp_path):
+        path = str(tmp_path / "list.json")
+        with open(path, "w") as f:
+            f.write("[1,2]")
+        assert main(["snorm", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_finite_binary_file(self, capfd, tmp_path):
         # rejected on reading, before any LAPACK routine sees the values

@@ -8,9 +8,11 @@ import pytest
 
 from tensornorms import (
     ProductPointSet,
+    UnitPointSet,
     build_hemisphere_grid,
     covering_coefficient,
     hemisphere_point_count,
+    product_point_set,
     resolution_for_error,
     sample_uniform,
     spherical_to_cartesian,
@@ -175,3 +177,38 @@ class TestProductPointSet:
                                 sample_uniform(2, 5, seed=0)])
         assert prod.theta is None
 
+    def test_non_positive_member_theta_certifies_nothing(self):
+        # the product of two negative thetas is positive, but neither member
+        # covers anything
+        neg = UnitPointSet(2, [[1.0, 0.0]], theta=-1.0)
+        assert ProductPointSet([neg, neg]).theta <= 0
+        assert ProductPointSet([build_hemisphere_grid(2, 4), neg]).theta <= 0
+        assert product_point_set([build_hemisphere_grid(2, 2)] * 2).theta > 0
+
+
+class TestUnitPointSetValidation:
+    def test_rejects_bad_points_and_theta(self):
+        # each once gave certified=True on gen_gaussian(3, 4, 4, seed=0),
+        # whose true bracket is [3.656, 3.692]: doubled points (lower 7.325)
+        # and theta 5 (upper 0.732, below lower 3.662); NaN points reached
+        # LAPACK instead
+        grid = build_hemisphere_grid(3, 20)
+        with pytest.raises(ValueError, match="unit norm"):
+            UnitPointSet(3, 2 * grid.points, grid.theta, grid.q)
+        with pytest.raises(ValueError, match="finite"):
+            UnitPointSet(3, np.full_like(grid.points, np.nan), grid.theta)
+        for theta in (5.0, 1.0 + 1e-12, math.nan):
+            with pytest.raises(ValueError, match="theta"):
+                UnitPointSet(3, grid.points, theta, grid.q)
+        with pytest.raises(ValueError, match="unit norm"):
+            UnitPointSet(2, [[1.0, 1e-4]], None)  # 5e-9 off unit norm
+        UnitPointSet(2, [[1.0, 0.0]], 1.0)
+        UnitPointSet(2, [[1.0, 0.0]], -3.0)
+
+    def test_library_sets_pass(self):
+        # the largest hemisphere grid the default path builds at l = 4,
+        # a flattened product grid and uniform samples
+        assert len(build_hemisphere_grid(4, 61)) == hemisphere_point_count(4, 61)
+        grids = [build_hemisphere_grid(3, 16), build_hemisphere_grid(3, 16)]
+        assert len(product_point_set(grids).flattened()) == 241 ** 2
+        sample_uniform(5, 10000, seed=0)

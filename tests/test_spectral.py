@@ -19,7 +19,6 @@ from tensornorms import (
     lower_bound_alpha1,
     nuclear_lower_bound_flatten,
     nuclear_norm_fptas,
-    polish_rank_one,
     product_point_set,
     sample_uniform,
     spectral_norm_fptas,
@@ -126,8 +125,12 @@ class TestFptas:
 
     def test_validation(self):
         T = gen_gaussian(2, 3, 3, seed=0)
-        with pytest.raises(ValueError):
-            spectral_norm_fptas(T, 0.0)
+        # nan <= 0 is False, so a NaN epsilon once reached the grid sizing
+        for eps in (0.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                spectral_norm_fptas(T, eps)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            spectral_norm_fptas_d(TensorD(np.ones((2, 2, 3, 3))), math.nan)
         with pytest.raises(ValueError):
             spectral_norm_fptas(T, 1e-2, mode="l2")
         with pytest.raises(ValueError):
@@ -190,6 +193,17 @@ class TestHigherOrder:
         assert [len(w) for w in est.witness] == [2, 3, 8, 8]
         assert est.upper >= spectral_norm_fptas_d(T, 1e-2).lower
 
+    def test_product_of_non_certifying_sets_certifies_nothing(self):
+        # two thetas of -1 once multiplied to a theta of 1 and a "certified"
+        # bracket [2.842, 2.842] below the 4.703 the default grid attains
+        T = TensorD(np.random.default_rng(0).standard_normal((2, 2, 5, 5)))
+        single = UnitPointSet(2, [[1.0, 0.0]], theta=-1.0)
+        both = product_point_set([single, single])
+        est = spectral_norm_fptas_d(T, 1e-3, point_set=both)
+        assert est.theta <= 0
+        assert not est.certified
+        assert est.upper >= spectral_norm_fptas_d(T, 1e-3).lower
+
     def test_size_one_mode(self):
         # a size-1 mode gets the single point [1.0]: the same bracket as the
         # order-3 call on the squeezed tensor, and the exact path when every
@@ -216,23 +230,6 @@ class TestRankOne:
             lam, x, y, z, resid = best_rank_one(T, est)
             expected = math.sqrt(max(T.frobenius_norm() ** 2 - lam**2, 0.0))
             assert resid == pytest.approx(expected, rel=1e-10)
-
-    def test_polish_improves(self):
-        T = gen_gaussian(4, 6, 6, seed=15)
-        est = spectral_norm_fptas(T, 0.3)  # deliberately coarse
-        obj, x, y, z = polish_rank_one(T, *est.witness)
-        assert obj >= est.value - 1e-12
-        assert evaluate(T, x, y, z) == pytest.approx(obj, rel=1e-10)
-
-    def test_polish_fixed_on_rank_one(self):
-        x = np.array([0.6, 0.8])
-        y = np.array([1.0, 0.0, 0.0])
-        z = np.array([0.0, 1.0, 0.0])
-        from tensornorms import Tensor3
-
-        T = Tensor3(2.5 * np.einsum("i,j,k->ijk", x, y, z))
-        obj, *_ = polish_rank_one(T, x, y, z)
-        assert obj == pytest.approx(2.5, rel=1e-12)
 
 
 class TestSerialization:
