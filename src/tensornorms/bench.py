@@ -13,7 +13,8 @@ from .core import (
     gen_orthogonal_test,
 )
 from .grids import build_hemisphere_grid, covering_coefficient, hemisphere_point_count
-from .nuclear import nuclear_norm_fptas
+from .kernels import spectral_norm
+from .nuclear import _batched_project_spectral_ball, nuclear_norm_fptas
 from .spectral import spectral_norm_fptas
 
 __all__ = ["error_sweep", "run_self_checks"]
@@ -73,6 +74,18 @@ def run_self_checks(seed: int) -> list[tuple[str, bool, str]]:
         theta = covering_coefficient(q, ell)
         out.append((f"covering H({ell},{q})", cover >= theta - 1e-12,
                     f"min cover {cover:.6f} vs theta {theta:.6f}"))
+
+    # inside the ball nothing may move, whether the Frobenius norm, the
+    # sum s^16 <= 1 bound or the eigensolve shows it; outside, the top
+    # singular value lands on 1
+    u, _, vt = np.linalg.svd(rng.standard_normal((4, 6)), full_matrices=False)
+    inside = [0.25 * np.eye(4, 6), (u * [0.99, 0.8, 0.6, 0.4]) @ vt, 0.95 * np.eye(4, 6)]
+    outside = [3.0 * rng.standard_normal((4, 6)), (1.0 + 1e-9) * np.eye(4, 6)]
+    P = _batched_project_spectral_ball(np.array(inside + outside))
+    fixed = np.array_equal(P[:len(inside)], inside)
+    dev = max(abs(spectral_norm(A) - 1.0) for A in P[len(inside):])
+    out.append(("spectral-ball projection", fixed and dev <= 1e-12,
+                f"inside fixed: {fixed}, outside sigma_max off 1 by {dev:.1e}"))
 
     weights = [t[0] for t in dec.terms]
     est = spectral_norm_fptas(Torth, 5e-2, "relative")

@@ -114,7 +114,11 @@ def _cmd_nnorm(args) -> int:
     payload = estimate_to_dict(est)
     payload.update(certificate_to_dict(cert))
     _emit(payload, args.out, args.format)
-    return EXIT_OK if cert.converged else EXIT_SOLVER
+    if cert.converged:
+        return EXIT_OK
+    print(f"solver stopped ({cert.stop}) at gap {cert.gap:.3e}, "
+          f"above the tolerance {cert.gap_tol:.3e}", file=sys.stderr)
+    return EXIT_SOLVER
 
 
 def _cmd_gen(args) -> int:

@@ -60,6 +60,7 @@ _MAX_ITERS = 200000  # total splitting iterations across all rounds
 _PRIMAL_TOL = 1e-9  # floor of the splitting residual tolerance
 _MAX_OUTER = 200  # rounds of constraint generation
 _BURST_ITERS = 1500  # splitting iterations between constraint scans
+_DISCOVERY_ITERS = 300  # burst length while many points are added; gap check stride
 _BATCH_POINTS = 40  # violated constraints added per round
 _OVER_RELAXATION = 1.7
 _ADAPT_FACTOR = 2.0  # penalty step of residual balancing
@@ -79,6 +80,8 @@ class NuclearCertificate:
     stationarity_residual: float
     solver_iterations: int
     converged: bool
+    stop: str  # "gap", "iteration budget", "round budget" or "zero tensor"
+    gap_tol: float  # the relative gap the solver was asked to reach
 
 
 def nuclear_upper_bound_slices(T: Tensor3) -> float:
@@ -96,8 +99,12 @@ def _batched_project_spectral_ball(mats: np.ndarray) -> np.ndarray:
     """Project a stack of matrices onto the spectral unit ball.
 
     Matrices with Frobenius norm <= 1 are already feasible and skip the
-    eigensolve.  For the others, A'A = V diag(s^2) V' on the smaller side
-    gives the projection U min(s, 1) V' as A - A V diag(max(0, 1 - 1/s)) V'.
+    eigensolve.  So do those whose Gram matrix G = A'A on the smaller side
+    has ||G^4||_F^2 = sum_i s_i^16 <= 1, which bounds every s_i by 1; an
+    overflowing G^4 gives inf or nan and the matrix is not skipped.  For the
+    rest, G = V diag(s^2) V' gives the projection U min(s, 1) V' as
+    A - A V diag(max(0, 1 - 1/s)) V'.  A skipped matrix comes back exactly
+    as the eigensolve would return it, since its shrink factors are all 0.
     """
     out = mats.copy()
     fro = np.linalg.norm(mats, axis=(1, 2))
@@ -105,14 +112,21 @@ def _batched_project_spectral_ball(mats: np.ndarray) -> np.ndarray:
     if need.size:
         wide = mats.shape[1] < mats.shape[2]
         A = mats[need].transpose(0, 2, 1) if wide else mats[need]
-        w, V = np.linalg.eigh(A.transpose(0, 2, 1) @ A)
-        shrink = 1.0 - 1.0 / np.maximum(np.sqrt(np.maximum(w, 0.0)), 1.0)
-        P = A - ((A @ V) * shrink[:, None, :]) @ V.transpose(0, 2, 1)
-        out[need] = P.transpose(0, 2, 1) if wide else P
+        G = A.transpose(0, 2, 1) @ A
+        with np.errstate(over="ignore", invalid="ignore"):
+            G2 = G @ G
+            G4 = G2 @ G2
+            outside = ~(np.einsum("pij,pij->p", G4, G4) <= 1.0)
+        A, G, need = A[outside], G[outside], need[outside]
+        if need.size:
+            w, V = np.linalg.eigh(G)
+            shrink = 1.0 - 1.0 / np.maximum(np.sqrt(np.maximum(w, 0.0)), 1.0)
+            P = A - ((A @ V) * shrink[:, None, :]) @ V.transpose(0, 2, 1)
+            out[need] = P.transpose(0, 2, 1) if wide else P
     return out
 
 
-def _admm_fixed_set(Tn, X, W, U, rho, n_iters, tol):
+def _admm_fixed_set(Tn, X, W, U, rho, n_iters, tol, lam_sum, z_sum):
     """Operator splitting burst on a fixed constraint set; warm-startable.
 
     Splits the program into the coupled least-squares update for Z (closed
@@ -120,6 +134,9 @@ def _admm_fixed_set(Tn, X, W, U, rho, n_iters, tol):
     projections onto the spectral unit ball.  The dual matrices come from the
     exact optimality condition of the final Z step, so the stationarity
     identity T = sum_x x (outer) Lambda_x holds to round-off by construction.
+    Each iterate's Lambda and Z are added to the running sums lam_sum and
+    z_sum in place, so consecutive calls on one burst keep one ergodic
+    average.  The last value returned says whether the residuals met tol.
     """
     ell, mn = Tn.shape[0], Tn.shape[1] * Tn.shape[2]
     gram_cho = scipy.linalg.cho_factor(X.T @ X)
@@ -134,8 +151,7 @@ def _admm_fixed_set(Tn, X, W, U, rho, n_iters, tol):
 
     # every iterate's Lambda satisfies X' Lambda = Tn exactly, so ergodic
     # averages are valid dual certificates too and settle much faster
-    lam_sum = np.zeros_like(W)
-    z_sum = np.zeros_like(Tn)
+    settled = False
     for it in range(1, n_iters + 1):
         Z, AZ, lam = z_step()
         lam_sum += lam
@@ -152,6 +168,7 @@ def _admm_fixed_set(Tn, X, W, U, rho, n_iters, tol):
             )
             zscale = 1.0 + float(np.linalg.norm(Z))
             if r_norm <= tol * zscale and s_norm <= tol * zscale:
+                settled = True
                 break
             # residual balancing keeps the two error terms comparable
             if r_norm > _ADAPT_RATIO * s_norm:
@@ -161,7 +178,7 @@ def _admm_fixed_set(Tn, X, W, U, rho, n_iters, tol):
                 rho /= _ADAPT_FACTOR
                 U *= _ADAPT_FACTOR
     Z, _, lam = z_step()
-    return Z, W, U, lam, lam_sum / it, z_sum / it, rho, it
+    return Z, W, U, lam, lam_sum, z_sum, rho, it, settled
 
 
 def _spanning_seed(X: np.ndarray) -> list[int]:
@@ -222,7 +239,7 @@ def solve_relaxation(
         return (Tensor3(np.zeros((ell, m, n))), 0.0, np.zeros((N, m, n)),
                 {"iterations": 0, "outer_rounds": 0, "working_set_size": 0,
                  "converged": True, "stationarity_residual": 0.0,
-                 "dual_value": 0.0, "gap": 0.0})
+                 "dual_value": 0.0, "gap": 0.0, "stop": "zero tensor"})
     Tn = T.slices / tnorm
 
     active = _spanning_seed(X)
@@ -251,27 +268,40 @@ def solve_relaxation(
         return total + defect_factor * stat, stat, lam
 
     discovering = True
+    stop = "round budget"
     for rounds in range(1, _MAX_OUTER + 1):
-        burst = min(300 if discovering else _BURST_ITERS, _MAX_ITERS - total_iters)
+        burst = min(_DISCOVERY_ITERS if discovering else _BURST_ITERS,
+                    _MAX_ITERS - total_iters)
         tol = max(_PRIMAL_TOL, 0.02 * gap) if np.isfinite(gap) else 1e-4
         Xa = X[active]
-        Z_last, W, U, lam_last, lam_avg, Z_avg, rho, it = \
-            _admm_fixed_set(Tn, Xa, W, U, rho, burst, tol)
-        total_iters += it
-        # both the last iterate and the ergodic average yield valid bounds;
-        # keep whichever side of the sandwich each does better on; every
-        # constraint is re-verified on the contracted slices by top_sigma
-        viol_last = top_sigma(Z_last, X) - 1.0
-        p_hat, Z, max_viol = max(rescaled(Z_last, viol_last),
-                                 rescaled(Z_avg, top_sigma(Z_avg, X) - 1.0),
-                                 key=lambda c: c[0])
-        dual_val, stat, lam_ws = min(dual_bound(lam_last), dual_bound(lam_avg),
+        # the burst runs in segments with one running ergodic average, and
+        # the gap is checked after each; the splitting state carries over,
+        # so the iterates are those of one uninterrupted burst
+        lam_sum, z_sum, done, settled = np.zeros_like(W), np.zeros_like(Tn), 0, False
+        while not (converged or settled or done == burst):
+            Z_last, W, U, lam_last, lam_sum, z_sum, rho, it, settled = _admm_fixed_set(
+                Tn, Xa, W, U, rho, min(_DISCOVERY_ITERS, burst - done), tol,
+                lam_sum, z_sum)
+            done += it
+            Z_avg = z_sum / done
+            # both the last iterate and the ergodic average yield valid
+            # bounds; keep whichever side of the sandwich each does better
+            # on; every constraint is re-verified on the contracted slices
+            viol_last = top_sigma(Z_last, X) - 1.0
+            p_hat, Z, max_viol = max(rescaled(Z_last, viol_last),
+                                     rescaled(Z_avg, top_sigma(Z_avg, X) - 1.0),
                                      key=lambda c: c[0])
-        gap = max(dual_val - p_hat, 0.0) / max(p_hat, 1e-300)
-        if gap <= cfg.gap_tol:
-            converged = True
+            dual_val, stat, lam_ws = min(dual_bound(lam_last),
+                                         dual_bound(lam_sum / done),
+                                         key=lambda c: c[0])
+            gap = max(dual_val - p_hat, 0.0) / max(p_hat, 1e-300)
+            converged = gap <= cfg.gap_tol
+        total_iters += done
+        if converged:
+            stop = "gap"
             break
         if total_iters >= _MAX_ITERS:
+            stop = "iteration budget"
             break
         order = np.argsort(viol_last)[::-1]
         new = [int(p) for p in order[: 4 * _BATCH_POINTS]
@@ -300,6 +330,7 @@ def solve_relaxation(
         "stationarity_residual": stat,
         "dual_value": dual_val * tnorm,
         "gap": gap,
+        "stop": stop,
     }
     return Tensor3(Z), value, lam, info
 
@@ -343,6 +374,12 @@ def nuclear_norm_fptas(
     _check_target(epsilon, mode)
     t0 = time.perf_counter()
     ell, m, n = T.dims
+    scale = nuclear_upper_bound_slices(T) if mode == "absolute" else 1.0
+    if cfg is None:
+        # the covering relaxation already loosens the certificate by roughly
+        # epsilon, so the solver gap only has to be small relative to that
+        eps_rel = epsilon if mode == "relative" else epsilon / max(scale, 1e-300)
+        cfg = SolverConfig(gap_tol=min(max(eps_rel / 10.0, 1e-7), 1e-3))
 
     if ell == 1:
         u, s, vt = np.linalg.svd(T.slices[0], full_matrices=False)
@@ -360,19 +397,14 @@ def nuclear_norm_fptas(
             primal_value=value, dual_value=value, theta=1.0,
             dual_decomposition=RankOneDecomposition(terms), gap=0.0,
             stationarity_residual=0.0, solver_iterations=0, converged=True,
+            stop="gap", gap_tol=cfg.gap_tol,
         )
         return est, cert
 
-    scale = nuclear_upper_bound_slices(T) if mode == "absolute" else 1.0
     if point_set is None:
         q = resolution_for_error(ell, epsilon, scale)
         point_set = build_hemisphere_grid(ell, q)
     _check_point_set(point_set, ell)
-    if cfg is None:
-        # the covering relaxation already loosens the certificate by roughly
-        # epsilon, so the solver gap only has to be small relative to that
-        eps_rel = epsilon if mode == "relative" else epsilon / max(scale, 1e-300)
-        cfg = SolverConfig(gap_tol=min(max(eps_rel / 10.0, 1e-7), 1e-3))
 
     Z, primal, lam, info = solve_relaxation(T, point_set, cfg)
     theta = point_set.theta
@@ -405,6 +437,8 @@ def nuclear_norm_fptas(
         stationarity_residual=info["stationarity_residual"],
         solver_iterations=info["iterations"],
         converged=info["converged"],
+        stop=info["stop"],
+        gap_tol=cfg.gap_tol,
     )
     return est, cert
 
@@ -436,6 +470,8 @@ def certificate_to_dict(cert: NuclearCertificate) -> dict:
         "stationarity_residual": cert.stationarity_residual,
         "solver_iterations": cert.solver_iterations,
         "converged": cert.converged,
+        "stop": cert.stop,
+        "gap_tol": cert.gap_tol,
         "decomposition": [
             {"lambda": t[0], **named_factors(t[1:])}
             for t in cert.dual_decomposition.terms

@@ -7,8 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from tensornorms import read_tensor
-from tensornorms.cli import EXIT_INPUT, EXIT_OK, main
+from tensornorms import nuclear, read_tensor
+from tensornorms.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 
 
 def _run_json(capsys, argv):
@@ -72,6 +72,23 @@ class TestNorms:
         assert payload["lower"] <= truth["nuclear"] + 1e-6
         assert payload["upper"] >= truth["nuclear"] - 1e-6
         assert payload["decomposition"]
+
+    def test_nnorm_unconverged_names_the_stop(self, capsys, monkeypatch, orth_file):
+        # 40 iterations cannot close the gap; the bracket is still printed
+        monkeypatch.setattr(nuclear, "_MAX_ITERS", 40)
+        path, truth = orth_file
+        code = main(["nnorm", path, "--eps", "1e-1"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert code == EXIT_SOLVER
+        assert payload["converged"] is False
+        assert payload["stop"] == "iteration budget"
+        assert payload["solver_iterations"] == 40
+        assert payload["gap"] > payload["gap_tol"]
+        assert payload["lower"] <= truth["nuclear"] + 1e-6 <= payload["upper"] + 2e-6
+        assert captured.err == (
+            f"solver stopped (iteration budget) at gap {payload['gap']:.3e}, "
+            f"above the tolerance {payload['gap_tol']:.3e}\n")
 
     def test_snorm_random_grid(self, capsys, orth_file):
         path, _ = orth_file

@@ -1,5 +1,7 @@
 """Matrix factorization primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,7 +141,70 @@ def _stack_with_feasible(count, m, n, scale):
     return mats
 
 
+def _with_sigmas(m, n, sigmas):
+    """A random m x n matrix with the given singular values."""
+    k = min(m, n)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return (u * sigmas) @ v.T
+
+
+def _mixed_stack(m, n):
+    """(stack, number of leading matrices inside the spectral ball)."""
+    k = min(m, n)
+    inside = [
+        np.zeros((m, n)),
+        _with_sigmas(m, n, np.full(k, 0.9 / np.sqrt(k))),  # Frobenius norm 0.9
+        # Frobenius norm above 1: sum s^16 <= 1 for the first two, so the
+        # eigensolve is skipped; 0.9 I_6 has sum s^16 = 1.11 and is not
+        0.8 * np.eye(m, n),
+        _with_sigmas(m, n, np.linspace(0.99, 0.3, k)),
+        0.9 * np.eye(m, n),
+    ]
+    outside = [
+        _with_sigmas(m, n, np.linspace(1.0 + 1e-9, 0.2, k)),
+        _with_sigmas(m, n, np.linspace(3.0, 0.5, k)),
+        3.0 * rng.standard_normal((m, n)),
+    ]
+    return np.array(inside + outside), len(inside)
+
+
 class TestProjection:
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 4), (4, 7)])
+    def test_mixed_stack(self, shape):
+        mats, n_in = _mixed_stack(*shape)
+        P = _batched_project_spectral_ball(mats)
+        # inside the ball: returned bit for bit, skipped or eigensolved
+        np.testing.assert_array_equal(P[:n_in], mats[:n_in])
+        # [DERIVED] outside: the SVD form U min(s, 1) V'
+        u, s, vt = np.linalg.svd(mats[n_in:], full_matrices=False)
+        expected = np.einsum("pij,pj,pjk->pik", u, np.minimum(s, 1.0), vt)
+        np.testing.assert_allclose(P[n_in:], expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(P[n_in:], 2, axis=(1, 2)), 1.0,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 4), (4, 7)])
+    def test_in_ball_bound_skips_the_eigensolve(self, shape, monkeypatch):
+        mats, _ = _mixed_stack(*shape)
+        certified = mats[[0, 1, 2, 3]]
+
+        def eigh(*args):
+            raise AssertionError("eigensolve on a matrix proved inside the ball")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        np.testing.assert_array_equal(_batched_project_spectral_ball(certified),
+                                      certified)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 4), (4, 7)])
+    def test_overflowing_bound_is_not_skipped(self, shape):
+        # entries near 1e100 overflow G^4 to inf; the matrix is eigensolved
+        mats = 1e100 * rng.standard_normal((3, *shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = _batched_project_spectral_ball(mats)
+        assert np.all(np.isfinite(P))
+        assert np.all(np.linalg.norm(P, axis=(1, 2)) < np.linalg.norm(mats, axis=(1, 2)))
+
     @pytest.mark.parametrize("shape", [(4, 4), (5, 3), (3, 5), (1, 6)])
     def test_matches_svd_reference(self, shape):
         # [DERIVED] the SVD form of the projection: U min(s, 1) V'

@@ -16,6 +16,7 @@ from tensornorms import (
     gen_gaussian,
     gen_orthogonal_test,
     gen_orthogonal_test_order4,
+    gen_sequence_example,
     nuclear_lower_bound_flatten,
     nuclear_norm,
     nuclear_norm_fptas,
@@ -81,6 +82,24 @@ class TestSolveRelaxation:
         Z, value, lam, info = solve_relaxation(Tensor3(np.zeros((3, 2, 2))), grid)
         assert value == 0.0
         assert info["converged"]
+        assert info["stop"] == "zero tensor"
+
+    def test_stops_mid_burst_once_the_gap_closes(self):
+        # without gap checks inside a burst this solve ran 1,860 iterations,
+        # 1,500 of them in a last burst that started after the gap had closed
+        T, dec = gen_orthogonal_test_order4((2, 2, 4, 4), 2, seed=0)
+        truth = sum(t[0] for t in dec.terms)
+        est, cert = nuclear_norm_fptas_d(T, 1e-1)
+        assert cert.solver_iterations < 1860
+        assert cert.stop == "gap" and cert.converged
+        assert cert.gap <= cert.gap_tol
+        assert est.lower <= truth <= est.upper
+
+    def test_published_sequence_value(self):
+        # [PAPER] ||i + j + k||_* = 33.6749 (4 decimals)
+        est, cert = nuclear_norm_fptas(gen_sequence_example(), 3e-3)
+        assert cert.converged and cert.stop == "gap"
+        assert est.lower <= 33.6749 <= est.upper
 
     def test_nonspanning_points_rejected(self):
         # all constraints along one direction leave the program unbounded
