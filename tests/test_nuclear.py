@@ -85,8 +85,8 @@ class TestSolveRelaxation:
         assert info["stop"] == "zero tensor"
 
     def test_stops_mid_burst_once_the_gap_closes(self):
-        # without gap checks inside a burst this solve ran 1,860 iterations,
-        # 1,500 of them in a last burst that started after the gap had closed
+        # without gap checks inside a burst this solve ran 1,860 iterations:
+        # its last 1,500-iteration burst ran on after the gap had closed
         T, dec = gen_orthogonal_test_order4((2, 2, 4, 4), 2, seed=0)
         truth = sum(t[0] for t in dec.terms)
         est, cert = nuclear_norm_fptas_d(T, 1e-1)
