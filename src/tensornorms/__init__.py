@@ -30,6 +30,7 @@ from .kernels import (
     nuclear_norm,
     spectral_norm,
     top_sigma,
+    top_sigma_argmax,
     top_singular_pair,
 )
 from .nuclear import (

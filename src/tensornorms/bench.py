@@ -12,8 +12,13 @@ from .core import (
     gen_gaussian,
     gen_orthogonal_test,
 )
-from .grids import build_hemisphere_grid, covering_coefficient, hemisphere_point_count
-from .kernels import spectral_norm
+from .grids import (
+    build_hemisphere_grid,
+    covering_coefficient,
+    hemisphere_point_count,
+    resolution_for_error,
+)
+from .kernels import spectral_norm, top_sigma, top_sigma_argmax
 from .nuclear import _batched_project_spectral_ball, nuclear_norm_fptas
 from .spectral import spectral_norm_fptas
 
@@ -86,6 +91,15 @@ def run_self_checks(seed: int) -> list[tuple[str, bool, str]]:
     dev = max(abs(spectral_norm(A) - 1.0) for A in P[len(inside):])
     out.append(("spectral-ball projection", fixed and dev <= 1e-12,
                 f"inside fixed: {fixed}, outside sigma_max off 1 by {dev:.1e}"))
+
+    # the pruned grid maximum must be the full scan's, bit for bit
+    slices = gen_gaussian(4, 20, 20, seed).slices
+    points = build_hemisphere_grid(4, resolution_for_error(4, 1e-2, 1.0)).points
+    sigmas = top_sigma(slices, points)
+    full = (int(np.argmax(sigmas)), float(sigmas.max()))
+    pruned = top_sigma_argmax(slices, points)
+    out.append(("pruned grid maximum", pruned == full,
+                f"point {pruned[0]} of {len(points)}, sigma {pruned[1]!r} vs {full[1]!r}"))
 
     weights = [t[0] for t in dec.terms]
     est = spectral_norm_fptas(Torth, 5e-2, "relative")

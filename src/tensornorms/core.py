@@ -109,7 +109,7 @@ class RankOneDecomposition:
                 raise ValueError("weights must be finite")
             factors = []
             for v in term[1:]:
-                v = np.asarray(v, dtype=float)
+                v = np.array(v, dtype=float)  # own copy: frozen, pins nothing
                 if abs(np.linalg.norm(v) - 1.0) > 1e-10:
                     raise ValueError("factor vectors must have unit norm")
                 v.setflags(write=False)

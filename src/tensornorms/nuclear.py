@@ -24,7 +24,7 @@ from .grids import (
     build_hemisphere_grid,
     resolution_for_error,
 )
-from .kernels import nuclear_norm, top_sigma
+from .kernels import _gram_power_norms, nuclear_norm, top_sigma
 from .spectral import (
     NormEstimate,
     _check_point_set,
@@ -113,10 +113,7 @@ def _batched_project_spectral_ball(mats: np.ndarray) -> np.ndarray:
         wide = mats.shape[1] < mats.shape[2]
         A = mats[need].transpose(0, 2, 1) if wide else mats[need]
         G = A.transpose(0, 2, 1) @ A
-        with np.errstate(over="ignore", invalid="ignore"):
-            G2 = G @ G
-            G4 = G2 @ G2
-            outside = ~(np.einsum("pij,pij->p", G4, G4) <= 1.0)
+        outside = ~(_gram_power_norms(G) <= 1.0)
         A, G, need = A[outside], G[outside], need[outside]
         if need.size:
             w, V = np.linalg.eigh(G)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import Tensor3
 from .grids import _angles_to_points
@@ -105,6 +104,9 @@ def _slice_quadratic(T: Tensor3, y: np.ndarray, z: np.ndarray) -> float:
 def _range_distance(T: Tensor3, alpha: float, grid_steps: int = 24,
                     refine_starts: int = 6) -> float:
     """min over unit (y, z) of |sum_i (y'T_i z)^2 - alpha|, by grid + refinement."""
+    # imported here: scipy.optimize costs every `import tensornorms` ~20 MB
+    from scipy.optimize import minimize
+
     ell, m, n = T.dims
 
     def objective(angles: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from .grids import (
     product_point_set,
     resolution_for_error,
 )
-from .kernels import spectral_norm, top_sigma, top_singular_pair
+from .kernels import spectral_norm, top_sigma, top_sigma_argmax, top_singular_pair
 
 __all__ = [
     "NormEstimate",
@@ -128,10 +128,8 @@ def spectral_norm_fptas(
         point_set = build_hemisphere_grid(ell, q)
     _check_point_set(point_set, ell)
 
-    sigmas = top_sigma(T.slices, point_set.points)
-    idx = int(np.argmax(sigmas))  # ties go to the first point
-    value = float(sigmas[idx])
-    xstar = point_set.points[idx]
+    idx, value = top_sigma_argmax(T.slices, point_set.points)
+    xstar = point_set.points[idx].copy()  # a view would pin the whole grid
     _, y, z = top_singular_pair(contract_first(T, xstar))
 
     theta = point_set.theta
@@ -207,7 +205,7 @@ def spectral_norm_fptas_d(
     kron_x, y, z = est.witness
     idx = np.unravel_index(int(np.argmax(flat.points @ kron_x)),
                            [len(s) for s in point_set.sets])
-    by_perm = [s.points[i] for s, i in zip(point_set.sets, idx)] + [y, z]
+    by_perm = [s.points[i].copy() for s, i in zip(point_set.sets, idx)] + [y, z]
     witness = tuple(by_perm[perm.index(i)] for i in range(T.order))
     return replace(est, witness=witness, seconds=time.perf_counter() - t0)
 

@@ -131,6 +131,13 @@ class TestRankOneDecomposition:
         with pytest.raises(ValueError):
             RankOneDecomposition(bad)
 
+    def test_terms_own_their_factors(self):
+        source = np.eye(3)
+        dec = RankOneDecomposition(((2.0, source[0], source[1], source[2]),))
+        source[:] = 0.0
+        np.testing.assert_array_equal(dec.terms[0][1], [1.0, 0.0, 0.0])
+        assert not any(v.flags.writeable for v in dec.terms[0][1:])
+
     def test_weight_sum_and_assemble(self):
         T, dec = gen_orthogonal_test(3, 5, 5, 3, seed=8)
         assert dec.weight_sum() == pytest.approx(sum(t[0] for t in dec.terms))

@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensornorms import (
+    build_hemisphere_grid,
+    gen_gaussian,
     nuclear_norm,
+    resolution_for_error,
     spectral_norm,
     top_sigma,
+    top_sigma_argmax,
     top_singular_pair,
 )
 from tensornorms.kernels import _CHUNK_DOUBLES
@@ -64,6 +68,15 @@ def _unit_rows(count, ell):
     return points / np.linalg.norm(points, axis=1, keepdims=True)
 
 
+def _assert_same_argmax(slices, points):
+    """top_sigma_argmax is bit for bit top_sigma followed by np.argmax."""
+    sigmas = top_sigma(slices, points)
+    i = int(np.argmax(sigmas))
+    index, value = top_sigma_argmax(slices, points)
+    assert (index, value.hex()) == (i, float(sigmas[i]).hex())
+    return index
+
+
 class TestTopSigma:
     def test_values_and_first_index_ties_across_chunks(self):
         ell, m, n = 3, 40, 40
@@ -80,6 +93,12 @@ class TestTopSigma:
                                    rtol=1e-12)
         assert sigmas[3] == sigmas[-2]
         assert int(np.argmax(sigmas)) == 3
+        assert _assert_same_argmax(slices, points) == 3
+        # a flat spectrum gives the last point the largest bound but a
+        # smaller sigma, so the last chunk, with the later tie, comes first
+        slices[1] = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        points[-1] = [0.0, 0.95 * 5.0 * spectral_norm(slices[0]), 0.0]
+        assert _assert_same_argmax(slices, points) == 3
 
     @pytest.mark.parametrize("shape", [
         (3, 5, 9),    # m < n, quadratic-form Gram
@@ -95,6 +114,7 @@ class TestTopSigma:
         np.testing.assert_allclose(top_sigma(slices, points),
                                    _sigma_reference(slices, points),
                                    rtol=1e-12)
+        _assert_same_argmax(slices, points)
 
     @pytest.mark.parametrize("shape", [(3, 5, 9), (16, 4, 4)])
     def test_zero_and_rank_deficient_slices(self, shape):
@@ -110,6 +130,10 @@ class TestTopSigma:
                                    rtol=1e-12)
         assert np.array_equal(top_sigma(np.zeros(shape), points),
                               np.zeros(len(points)))
+        _assert_same_argmax(slices, points)
+        # only the zero slice's axis point: every sigma is 0, the first wins
+        _assert_same_argmax(slices, np.tile(np.eye(ell)[0], (5, 1)))
+        assert top_sigma_argmax(np.zeros(shape), points) == (0, 0.0)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     @pytest.mark.parametrize("shape", [(3, 5, 9), (16, 4, 4)])
@@ -119,6 +143,7 @@ class TestTopSigma:
         np.testing.assert_allclose(top_sigma(slices, points),
                                    _sigma_reference(slices, points),
                                    rtol=1e-12)
+        _assert_same_argmax(slices, points)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(ell=st.integers(1, 6), m=st.integers(1, 12), n=st.integers(1, 12),
@@ -131,6 +156,51 @@ class TestTopSigma:
         np.testing.assert_allclose(top_sigma(slices, points),
                                    _sigma_reference(slices, points),
                                    rtol=1e-12)
+
+
+class TestTopSigmaArgmax:
+    @pytest.mark.parametrize("shape", [(3, 5, 9), (16, 4, 4)])
+    def test_maximum_far_below_the_largest_entry(self, shape):
+        # every point misses the big first slice, so each lambda^8 of the
+        # scaled Gram matrices underflows and bounds nothing
+        slices = 1e-30 * rng.standard_normal(shape)
+        slices[0] = 1.0
+        points = _unit_rows(300, shape[0])
+        points[:, 0] = 0.0
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        _assert_same_argmax(slices, points)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 9), (16, 4, 4)])
+    def test_non_unit_rows(self, shape):
+        points = _unit_rows(300, shape[0]) * rng.uniform(0.1, 10.0, (300, 1))
+        _assert_same_argmax(rng.standard_normal(shape), points)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ell=st.integers(1, 6), m=st.integers(1, 12), n=st.integers(1, 12),
+           count=st.integers(1, 300), log_scale=st.floats(-250, 250),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_the_full_scan(self, ell, m, n, count, log_scale, seed):
+        draw = np.random.default_rng(seed)
+        slices = 10.0**log_scale * draw.standard_normal((ell, m, n))
+        points = draw.standard_normal((count, ell))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        points[draw.integers(count, size=count // 10)] = points[0]  # ties
+        _assert_same_argmax(slices, points)
+
+    def test_eigensolves_few_grid_points(self, monkeypatch):
+        T = gen_gaussian(4, 50, 50, seed=3)
+        grid = build_hemisphere_grid(4, resolution_for_error(4, 1e-2, 1.0))
+        assert len(grid) == 7240
+        index = _assert_same_argmax(T.slices, grid.points)
+        eigvalsh, solved = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            solved.append(a.shape[0] if a.ndim == 3 else 1)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert top_sigma_argmax(T.slices, grid.points)[0] == index
+        assert sum(solved) < 0.05 * len(grid)
 
 
 def _stack_with_feasible(count, m, n, scale):

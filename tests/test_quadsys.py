@@ -1,5 +1,8 @@
 """Quadratic-system formulation of the squared spectral norm."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -90,3 +93,11 @@ class TestOracleInconclusive:
         assert exc.alpha == 1.5
         assert exc.interval == (1.4, 1.6)
         assert "confined to" in str(exc)
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # only the brute-force oracle needs it, and it costs every import ~20 MB
+    code = "import sys, tensornorms; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

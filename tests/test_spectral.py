@@ -85,6 +85,14 @@ class TestFptas:
         est = spectral_norm_fptas(T, 1e-2)
         assert evaluate(T, *est.witness) == pytest.approx(est.value, rel=1e-10)
 
+    def test_witness_owns_its_memory(self):
+        # a view into the grid would keep the whole grid alive with the estimate
+        T = gen_gaussian(3, 5, 6, seed=8)
+        grid = build_hemisphere_grid(3, 20)
+        est = spectral_norm_fptas(T, 1e-2, point_set=grid)
+        assert not np.shares_memory(est.witness[0], grid.points)
+        assert all(v.base is None for v in est.witness)
+
     def test_first_dim_one_is_exact_svd(self):
         T = gen_gaussian(1, 5, 7, seed=9)
         est = spectral_norm_fptas(T, 1e-3)
