@@ -1,11 +1,13 @@
 """Quadratic-system formulation of the squared spectral norm."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import tensornorms
 from tensornorms import (
     OracleInconclusive,
     QuadSystemInstance,
@@ -98,6 +100,7 @@ class TestOracleInconclusive:
 def test_package_import_leaves_scipy_optimize_unloaded():
     # only the brute-force oracle needs it, and it costs every import ~20 MB
     code = "import sys, tensornorms; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(tensornorms.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
