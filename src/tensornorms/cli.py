@@ -75,8 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a test tensor file")
     p.add_argument("--kind", choices=["orth", "gauss", "seq"], required=True)
-    p.add_argument("--dims", default="3,3,3", help="l,m,n")
-    p.add_argument("--r", type=int, default=2, help="terms for --kind orth")
+    p.add_argument("--dims", default=None,
+                   help="l,m,n (default 3,3,3, the only size --kind seq has)")
+    p.add_argument("--r", type=int, default=None,
+                   help="terms for --kind orth (default 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--binary", action="store_true")
@@ -122,9 +124,14 @@ def _cmd_nnorm(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
-    if args.kind != "seq" and len(dims) != 3:
+    spec = "3,3,3" if args.dims is None else args.dims
+    dims = tuple(int(d) for d in spec.split(","))
+    if args.kind == "seq" and dims != (3, 3, 3):
+        raise ValueError(f"--kind seq is 3x3x3, got --dims {args.dims!r}")
+    if len(dims) != 3:
         raise ValueError(f"--dims needs three sizes l,m,n, got {args.dims!r}")
+    if args.r is not None and args.kind != "orth":
+        raise ValueError(f"--r applies only to --kind orth, not {args.kind!r}")
     if args.kind == "seq":
         T = gen_sequence_example()
         sidecar = None
@@ -132,7 +139,8 @@ def _cmd_gen(args) -> int:
         T = gen_gaussian(*dims, seed=args.seed)
         sidecar = None
     else:
-        T, dec = gen_orthogonal_test(*dims, r=args.r, seed=args.seed)
+        r = 2 if args.r is None else args.r
+        T, dec = gen_orthogonal_test(*dims, r=r, seed=args.seed)
         weights = [t[0] for t in dec.terms]
         sidecar = {
             "spectral": max(weights),

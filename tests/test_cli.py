@@ -153,6 +153,34 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_gen_seq_with_other_dims(self, capsys, tmp_path):
+        # the sequence tensor is always 3x3x3; other sizes are refused
+        path = str(tmp_path / "t.json")
+        assert main(["gen", "--kind", "seq", "--dims", "4,4,4",
+                     "--out", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(["gen", "--kind", "seq", "--dims", "3,3,3",
+                     "--out", path]) == EXIT_OK
+        assert read_tensor(path).dims == (3, 3, 3)
+
+    def test_gen_r_for_other_kinds(self, capsys, tmp_path):
+        path = str(tmp_path / "t.json")
+        for kind in ("gauss", "seq"):
+            assert main(["gen", "--kind", kind, "--r", "7",
+                         "--out", path]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_gen_defaults(self, tmp_path):
+        path = str(tmp_path / "t.json")
+        assert main(["gen", "--kind", "gauss", "--out", path]) == EXIT_OK
+        assert read_tensor(path).dims == (3, 3, 3)
+        assert main(["gen", "--kind", "orth", "--out", path]) == EXIT_OK
+        assert read_tensor(path).dims == (3, 3, 3)
+        with open(path + ".truth.json") as f:
+            assert len(json.load(f)["decomposition"]) == 2
+
     def test_json_array_file(self, capsys, tmp_path):
         path = str(tmp_path / "list.json")
         with open(path, "w") as f:

@@ -5,6 +5,7 @@ import pytest
 
 from tensornorms import (
     RankOneDecomposition,
+    SolverConfig,
     SolverError,
     Tensor3,
     TensorD,
@@ -17,12 +18,14 @@ from tensornorms import (
     gen_orthogonal_test,
     gen_orthogonal_test_order4,
     gen_sequence_example,
+    nuclear,
     nuclear_lower_bound_flatten,
     nuclear_norm,
     nuclear_norm_fptas,
     nuclear_norm_fptas_d,
     nuclear_upper_bound_slices,
     product_point_set,
+    resolution_for_error,
     sample_uniform,
     solve_relaxation,
 )
@@ -100,6 +103,25 @@ class TestSolveRelaxation:
         est, cert = nuclear_norm_fptas(gen_sequence_example(), 3e-3)
         assert cert.converged and cert.stop == "gap"
         assert est.lower <= 33.6749 <= est.upper
+
+    def test_budget_ends_mid_segment(self, monkeypatch):
+        # round 1 is a 300-iteration burst and round 2 stops after 50 of its
+        # iterations, between two gap checks; the bracket still holds
+        monkeypatch.setattr(nuclear, "_MAX_ITERS", 350)
+        grid = build_hemisphere_grid(3, resolution_for_error(3, 3e-3, 1.0))
+        _, value, _, info = solve_relaxation(
+            gen_sequence_example(), grid, SolverConfig(gap_tol=1e-5))
+        assert info["iterations"] == 350 and info["outer_rounds"] == 2
+        assert info["stop"] == "iteration budget" and not info["converged"]
+        assert grid.theta * value <= 33.6749 <= info["dual_value"]
+
+    def test_config_rejects_tolerances_it_cannot_meet(self):
+        # a NaN gap tolerance never converged and a negative stationarity
+        # tolerance failed only after the whole solve
+        for field in ("gap_tol", "stationarity_tol"):
+            for bad in (np.nan, 0.0, -1.0):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    SolverConfig(**{field: bad})
 
     def test_nonspanning_points_rejected(self):
         # all constraints along one direction leave the program unbounded
