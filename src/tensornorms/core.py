@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -275,27 +276,40 @@ def write_tensor(T: Tensor3, path: str, binary: bool = False) -> None:
 
 
 def read_tensor(path: str) -> Tensor3:
-    """Read a tensor file, auto-detecting JSON vs binary."""
-    with open(path, "rb") as f:
-        head = f.read(1)
-    if head in (b"{", b"["):
-        with open(path) as f:
-            payload = json.load(f)
-        if not isinstance(payload, dict):
-            raise ValueError("tensor JSON must be an object with dims and values")
-        dims = tuple(int(d) for d in payload["dims"])
-        values = np.asarray(payload["values"], dtype=float)
-        if len(dims) != 3:
-            raise ValueError(f"expected 3 dims, got {dims}")
-        if values.size != np.prod(dims):
-            raise ValueError("value count does not match dims")
-        return Tensor3(values.reshape(dims))
+    """Read a tensor file, JSON or packed binary, told apart by content.
+
+    A file is binary when the dims in its 24-byte header account for its
+    exact length; any other file must be a JSON object with "dims" and
+    "values".  A malformed file raises a ValueError that names the bad field.
+    """
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < _BIN_MAGIC_LEN:
-        raise ValueError("binary tensor file too short")
-    dims = struct.unpack("<3Q", raw[:_BIN_MAGIC_LEN])
-    values = np.frombuffer(raw[_BIN_MAGIC_LEN:], dtype="<f8")
-    if values.size != int(np.prod(dims)):
+    if len(raw) >= _BIN_MAGIC_LEN:
+        dims = struct.unpack("<3Q", raw[:_BIN_MAGIC_LEN])
+        if len(raw) == _BIN_MAGIC_LEN + 8 * math.prod(dims):
+            values = np.frombuffer(raw[_BIN_MAGIC_LEN:], dtype="<f8")
+            return Tensor3(values.reshape(dims).astype(float))
+    try:
+        payload = json.loads(raw)
+    except ValueError as exc:  # also a UnicodeDecodeError
+        raise ValueError(
+            f"not a tensor file: its {len(raw)} bytes match no binary header "
+            f"and are not JSON ({exc})"
+        ) from None
+    if not isinstance(payload, dict):
+        raise ValueError("tensor JSON must be an object with dims and values")
+    for key in ("dims", "values"):
+        if key not in payload:
+            raise ValueError(f"tensor JSON has no {key!r} field")
+    dims = payload["dims"]
+    if not (isinstance(dims, list) and all(isinstance(d, int) for d in dims)):
+        raise ValueError(f"tensor JSON 'dims' must be a list of integers, got {dims!r}")
+    if len(dims) != 3:
+        raise ValueError(f"expected 3 dims, got {dims}")
+    try:
+        values = np.asarray(payload["values"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("tensor JSON 'values' must be a list of numbers") from None
+    if values.size != math.prod(dims):
         raise ValueError("value count does not match dims")
-    return Tensor3(values.reshape(dims).astype(float))
+    return Tensor3(values.reshape(dims))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import Tensor3, TensorD
+
 __all__ = [
     "UnitPointSet",
     "spherical_to_cartesian",
@@ -180,3 +182,52 @@ class ProductPointSet:
 def product_point_set(sets: list[UnitPointSet]) -> ProductPointSet:
     return ProductPointSet(sets)
 
+
+def _order3_problem(
+    T: Tensor3 | TensorD, epsilon: float, mode: str,
+    point_set: UnitPointSet | ProductPointSet | None, norm_bound,
+) -> tuple[Tensor3, list[int], list[UnitPointSet], UnitPointSet, float]:
+    """(T3, perm, sets, points, scale): the order-3 problem a scheme solves.
+
+    ``perm`` moves the two largest modes last (stably), and T3 flattens the
+    remaining small modes into its first mode; a Tensor3 is its own problem,
+    with its first mode the one small mode.  ``sets`` holds one point set per
+    small mode and ``points`` their flattening: contracting a tensor by a
+    tuple of small-mode vectors equals contracting T3 by their Kronecker
+    product.  Without a caller's set, each small mode gets a hemisphere grid,
+    the error budget split evenly over the modes of size >= 2; a size-1 mode
+    gets the single point [1.0] with theta = 1.  ``scale`` is
+    ``norm_bound(T3)`` in absolute mode and 1 otherwise.
+    """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if mode not in ("absolute", "relative"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if isinstance(T, Tensor3):
+        T3, perm = T, [0, 1, 2]
+    else:
+        dims = T.dims
+        order = sorted(range(len(dims)), key=lambda i: (dims[i], i))
+        perm = sorted(order[:-2]) + sorted(order[-2:])
+        vals = np.transpose(T.values, perm)
+        T3 = Tensor3(vals.reshape(-1, *vals.shape[-2:]))
+    small_dims = [T.dims[i] for i in perm[:-2]]
+    scale = norm_bound(T3) if mode == "absolute" else 1.0
+    if point_set is None:
+        eps_each = epsilon / max(sum(d > 1 for d in small_dims), 1)
+        sets = [
+            build_hemisphere_grid(d, resolution_for_error(d, eps_each, scale))
+            if d > 1 else UnitPointSet(1, np.ones((1, 1)), 1.0)
+            for d in small_dims
+        ]
+        point_set = sets[0] if isinstance(T, Tensor3) else ProductPointSet(sets)
+    product = isinstance(point_set, ProductPointSet)
+    sets = point_set.sets if product else [point_set]
+    if (set_dims := [s.dim for s in sets]) != small_dims:
+        raise ValueError(
+            f"point set dims {set_dims} != small tensor modes {small_dims}"
+        )
+    if len(point_set) == 0:
+        raise ValueError("point set is empty")
+    points = point_set.flattened() if product else point_set
+    return T3, perm, sets, points, scale

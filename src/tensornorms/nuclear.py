@@ -18,19 +18,9 @@ import numpy as np
 import scipy.linalg
 
 from .core import RankOneDecomposition, Tensor3, TensorD, flatten, named_factors
-from .grids import (
-    ProductPointSet,
-    UnitPointSet,
-    build_hemisphere_grid,
-    resolution_for_error,
-)
+from .grids import ProductPointSet, UnitPointSet, _order3_problem
 from .kernels import _gram_power_norms, nuclear_norm, top_sigma
-from .spectral import (
-    NormEstimate,
-    _check_point_set,
-    _check_target,
-    _order3_problem,
-)
+from .spectral import NormEstimate
 
 __all__ = [
     "SolverConfig",
@@ -352,25 +342,30 @@ def extract_nuclear_decomposition(
 
 
 def nuclear_norm_fptas(
-    T: Tensor3,
+    T: Tensor3 | TensorD,
     epsilon: float,
     mode: str = "relative",
-    point_set: UnitPointSet | None = None,
+    point_set: UnitPointSet | ProductPointSet | None = None,
     cfg: SolverConfig | None = None,
 ) -> tuple[NormEstimate, NuclearCertificate]:
-    """Certified nuclear norm approximation via the grid-relaxed program."""
-    _check_target(epsilon, mode)
+    """Certified nuclear norm approximation via the grid-relaxed program.
+
+    An order-d tensor is solved on the flattening from ``_order3_problem``,
+    with constraints indexed by the Kronecker products of one point set per
+    small mode (a ``ProductPointSet``), so each decomposition term carries
+    the Kronecker product of its small-mode factors as its first vector.
+    """
     t0 = time.perf_counter()
-    ell, m, n = T.dims
-    scale = nuclear_upper_bound_slices(T) if mode == "absolute" else 1.0
+    T3, _, _, points, scale = _order3_problem(T, epsilon, mode, point_set,
+                                              nuclear_upper_bound_slices)
     if cfg is None:
         # the covering relaxation already loosens the certificate by roughly
         # epsilon, so the solver gap only has to be small relative to that
         eps_rel = epsilon if mode == "relative" else epsilon / max(scale, 1e-300)
         cfg = SolverConfig(gap_tol=min(max(eps_rel / 10.0, 1e-7), 1e-3))
 
-    if ell == 1:
-        u, s, vt = np.linalg.svd(T.slices[0], full_matrices=False)
+    if T3.dims[0] == 1:
+        u, s, vt = np.linalg.svd(T3.slices[0], full_matrices=False)
         value = float(s.sum())
         keep = s > 1e-14 * max(value, 1e-300)
         terms = tuple(
@@ -389,13 +384,8 @@ def nuclear_norm_fptas(
         )
         return est, cert
 
-    if point_set is None:
-        q = resolution_for_error(ell, epsilon, scale)
-        point_set = build_hemisphere_grid(ell, q)
-    _check_point_set(point_set, ell)
-
-    Z, primal, lam, info = solve_relaxation(T, point_set, cfg)
-    theta = point_set.theta
+    Z, primal, lam, info = solve_relaxation(T3, points, cfg)
+    theta = points.theta
     if theta is not None and theta > 0:
         # primal = <T, Z> at a feasible Z sits below the program optimum and
         # the dual value above it, so theta * primal <= ||T||_* <= dual value
@@ -405,14 +395,14 @@ def nuclear_norm_fptas(
         # random point sets and grids too coarse for a positive theta carry
         # no covering certificate for the lower bound, but the dual value
         # still upper-bounds the nuclear norm
-        lower, certified = nuclear_lower_bound_flatten(T), False
+        lower, certified = nuclear_lower_bound_flatten(T3), False
     est = NormEstimate(
         value=primal, lower=lower, upper=info["dual_value"], mode=mode,
-        epsilon=epsilon, certified=certified, grid_points_used=len(point_set),
-        q=point_set.q, theta=theta, seconds=time.perf_counter() - t0,
+        epsilon=epsilon, certified=certified, grid_points_used=len(points),
+        q=points.q, theta=theta, seconds=time.perf_counter() - t0,
     )
     dec = extract_nuclear_decomposition(
-        lam, point_set,
+        lam, points,
         stationarity_residual=info["stationarity_residual"],
         max_stationarity=cfg.stationarity_tol,
     )
@@ -431,22 +421,7 @@ def nuclear_norm_fptas(
     return est, cert
 
 
-def nuclear_norm_fptas_d(
-    T: TensorD,
-    epsilon: float,
-    mode: str = "relative",
-    point_set: ProductPointSet | None = None,
-    cfg: SolverConfig | None = None,
-) -> tuple[NormEstimate, NuclearCertificate]:
-    """Higher-order variant with constraints indexed by product grid tuples.
-
-    The relaxation is solved on the flattening from ``_order3_problem``
-    with flattened product points, so each decomposition term carries the
-    Kronecker product of its leading-mode factors as its first vector.
-    """
-    T3, _, point_set = _order3_problem(T, epsilon, mode, point_set,
-                                       nuclear_upper_bound_slices)
-    return nuclear_norm_fptas(T3, epsilon, mode, point_set.flattened(), cfg)
+nuclear_norm_fptas_d = nuclear_norm_fptas
 
 
 def certificate_to_dict(cert: NuclearCertificate) -> dict:

@@ -18,6 +18,11 @@ from .core import Tensor3
 from .grids import _angles_to_points
 from .spectral import lower_bound_alpha1, upper_bound_alpha2
 
+_GRID_STEPS = 24  # angle steps per axis of the oracle's starting mesh
+_REFINE_STARTS = 6  # best mesh points refined by Nelder-Mead
+_ORACLE_TOL = 1e-6  # a minimum residual up to this is feasible
+_DEAD_ZONE_HI = 1e-3  # a minimum residual from this on is infeasible
+
 __all__ = [
     "QuadSystemInstance",
     "OracleInconclusive",
@@ -101,8 +106,7 @@ def _slice_quadratic(T: Tensor3, y: np.ndarray, z: np.ndarray) -> float:
     return float(u @ u)
 
 
-def _range_distance(T: Tensor3, alpha: float, grid_steps: int = 24,
-                    refine_starts: int = 6) -> float:
+def _range_distance(T: Tensor3, alpha: float) -> float:
     """min over unit (y, z) of |sum_i (y'T_i z)^2 - alpha|, by grid + refinement."""
     # imported here: scipy.optimize costs every `import tensornorms` ~20 MB
     from scipy.optimize import minimize
@@ -115,8 +119,8 @@ def _range_distance(T: Tensor3, alpha: float, grid_steps: int = 24,
         return abs(_slice_quadratic(T, y, z) - alpha)
 
     n_angles = (m - 1) + (n - 1)
-    if grid_steps**n_angles <= 40000:
-        axes = [np.linspace(0, math.pi, grid_steps, endpoint=False)] * n_angles
+    if _GRID_STEPS**n_angles <= 40000:
+        axes = [np.linspace(0, math.pi, _GRID_STEPS, endpoint=False)] * n_angles
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([a.ravel() for a in mesh], axis=1)
     else:
@@ -125,7 +129,7 @@ def _range_distance(T: Tensor3, alpha: float, grid_steps: int = 24,
         rng = np.random.default_rng(0)
         coords = rng.uniform(0, math.pi, size=(40000, n_angles))
     vals = np.array([objective(c) for c in coords])
-    order = np.argsort(vals)[:refine_starts]
+    order = np.argsort(vals)[:_REFINE_STARTS]
     best = float(vals[order[0]])
     for idx in order:
         res = minimize(objective, coords[idx], method="Nelder-Mead",
@@ -134,12 +138,7 @@ def _range_distance(T: Tensor3, alpha: float, grid_steps: int = 24,
     return best
 
 
-def threshold_bisection(
-    T: Tensor3,
-    tol: float = 1e-4,
-    oracle_tol: float = 1e-6,
-    dead_zone_hi: float = 1e-3,
-) -> float:
+def threshold_bisection(T: Tensor3, tol: float = 1e-4) -> float:
     """Bisect the feasibility threshold; equals the squared spectral norm.
 
     Restricted to tiny tensors (first dim <= 3, others <= 4): the feasibility
@@ -157,19 +156,19 @@ def threshold_bisection(
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         dist = _range_distance(T, mid)
-        if dist <= oracle_tol:
+        if dist <= _ORACLE_TOL:
             lo = mid
-        elif dist >= dead_zone_hi:
+        elif dist >= _DEAD_ZONE_HI:
             hi = mid
         else:
             # the residual itself bounds the distance to the threshold: an
             # infeasible alpha this close to the range of the quadratic map
             # pins the threshold inside [mid - dist, mid + oracle slack]
             new_lo = max(lo, mid - dist)
-            new_hi = min(hi, mid + dead_zone_hi)
+            new_hi = min(hi, mid + _DEAD_ZONE_HI)
             if new_hi - new_lo >= hi - lo:
                 raise OracleInconclusive(
-                    mid, dist, (oracle_tol, dead_zone_hi), (lo, hi)
+                    mid, dist, (_ORACLE_TOL, _DEAD_ZONE_HI), (lo, hi)
                 )
             lo, hi = new_lo, new_hi
             break

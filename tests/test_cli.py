@@ -189,6 +189,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"dims": 5, "values": [1]}', "dims"),
+        ('{"dims": null, "values": [1]}', "dims"),
+        ('{"dims": [1, 1, 1]}', "values"),
+        ('{"values": [1]}', "dims"),
+        ('{"dims": [1, 1, 2], "values": [1, "a"]}', "values"),
+    ])
+    def test_malformed_json_fields(self, capsys, tmp_path, text, field):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as f:
+            f.write(text)
+        assert main(["snorm", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # a ValueError that names the field, not a bare KeyError or TypeError
+        with pytest.raises(ValueError, match=repr(field)):
+            read_tensor(path)
+
     def test_non_finite_binary_file(self, capfd, tmp_path):
         # rejected on reading, before any LAPACK routine sees the values
         path = str(tmp_path / "inf.bin")

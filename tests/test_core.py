@@ -216,6 +216,16 @@ class TestFileFormats:
         write_tensor(T, path, binary=True)
         np.testing.assert_array_equal(read_tensor(path).slices, T.slices)
 
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("ell", [91, 123])
+    def test_round_trip_first_dim_looking_like_json(self, tmp_path, binary, ell):
+        # 91 and 123 are the bytes "[" and "{", which once sent a binary
+        # file to the JSON reader
+        T = gen_gaussian(ell, 2, 2, seed=16)
+        path = str(tmp_path / "t")
+        write_tensor(T, path, binary=binary)
+        np.testing.assert_array_equal(read_tensor(path).slices, T.slices)
+
     def test_bad_file(self, tmp_path):
         path = str(tmp_path / "junk.json")
         with open(path, "w") as f:

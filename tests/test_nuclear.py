@@ -188,6 +188,12 @@ class TestFptas:
         with pytest.raises(ValueError, match="point set is empty"):
             nuclear_norm_fptas(T, 1e-1, point_set=UnitPointSet(3, np.empty((0, 3)), None))
 
+    def test_first_dim_one_checks_the_point_set(self):
+        # the exact single-slice path once ignored a caller's set of any dim
+        with pytest.raises(ValueError, match="point set dim"):
+            nuclear_norm_fptas(gen_gaussian(1, 4, 4, 0), 1e-2,
+                               point_set=build_hemisphere_grid(3, 5))
+
     def test_absolute_mode_zero_tensor_at_large_ell(self):
         est, _ = nuclear_norm_fptas(Tensor3(np.zeros((30, 3, 3))), 1e-2, mode="absolute")
         assert est.q == 2 and est.grid_points_used == 30
@@ -214,6 +220,16 @@ class TestHigherOrder:
         assert est.certified
         assert est.lower <= truth + 1e-6 <= est.upper + 2e-6
         assert abs(est.value - truth) / truth <= 1e-1
+
+    def test_one_function_for_every_order(self):
+        assert nuclear_norm_fptas_d is nuclear_norm_fptas
+
+    def test_order3_tensord_matches_tensor3(self):
+        a = np.random.default_rng(17).standard_normal((3, 10, 10))
+        est3, cert3 = nuclear_norm_fptas(Tensor3(a), 1e-1)
+        estd, certd = nuclear_norm_fptas(TensorD(a), 1e-1)
+        assert (estd.lower, estd.upper) == (est3.lower, est3.upper)
+        assert certd.solver_iterations == cert3.solver_iterations
 
     def test_rejects_product_set_in_the_wrong_mode_order(self):
         T = TensorD(np.random.default_rng(0).standard_normal((2, 3, 8, 8)))

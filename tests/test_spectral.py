@@ -152,6 +152,18 @@ class TestFptas:
         with pytest.raises(ValueError, match="point set is empty"):
             spectral_norm_fptas(T, 1e-2, point_set=UnitPointSet(3, np.empty((0, 3)), None))
 
+    def test_first_dim_one_checks_the_point_set(self):
+        # the exact single-slice path once ignored a caller's set of any dim
+        T = gen_gaussian(1, 4, 4, 0)
+        with pytest.raises(ValueError, match="point set dim"):
+            spectral_norm_fptas(T, 1e-2, point_set=build_hemisphere_grid(3, 5))
+        # the witness is contracted with the set's point, so it attains the value
+        est = spectral_norm_fptas(T, 1e-2, point_set=UnitPointSet(1, [[-1.0]], 1.0))
+        np.testing.assert_array_equal(est.witness[0], [-1.0])
+        assert evaluate(T, *est.witness) == pytest.approx(est.value, rel=1e-12)
+        assert est.lower == est.upper == pytest.approx(
+            np.linalg.norm(T.slices[0], 2), rel=1e-12)
+
     def test_nonpositive_theta_uncertified(self):
         # eps so large that the coarsest grid has theta <= 0: no covering
         # certificate, so both schemes fall back to their uncertified bounds
@@ -186,6 +198,17 @@ class TestHigherOrder:
         x1, x2, y, z = est.witness
         attained = float(np.einsum("abjk,a,b,j,k->", vals, x1, x2, y, z))
         assert attained == pytest.approx(est.value, rel=1e-10)
+
+    def test_one_function_for_every_order(self):
+        assert spectral_norm_fptas_d is spectral_norm_fptas
+
+    def test_order3_tensord_matches_tensor3(self):
+        a = np.random.default_rng(16).standard_normal((3, 10, 10))
+        est3 = spectral_norm_fptas(Tensor3(a), 1e-2)
+        estd = spectral_norm_fptas(TensorD(a), 1e-2)
+        assert (estd.lower, estd.upper) == (est3.lower, est3.upper)
+        for wd, w3 in zip(estd.witness, est3.witness, strict=True):
+            np.testing.assert_array_equal(wd, w3)
 
     def test_rejects_product_set_in_the_wrong_mode_order(self):
         # sets for modes of sizes 3 and 2 on a tensor whose small modes are
